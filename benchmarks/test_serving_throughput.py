@@ -3,21 +3,18 @@
 Not a paper table — this benchmark covers the serving subsystem
 (:mod:`repro.serving`): 8 worker threads replay >= 2,000 single-query
 requests against one trained Duet model in three configurations and the
-report compares them:
+report compares them.  Every configuration runs on the service's one path,
+the lowered grad-free plan:
 
-* ``naive``            — one tape forward pass per request, no cache;
-* ``micro-batched``    — concurrent requests coalesced into vectorised tape
-  passes (``compiled=False`` pins the original comparison);
-* ``batched+compiled`` — micro-batching through the lowered grad-free plan
-  (the serving default since the compiled inference engine landed);
-* ``batched+cache``    — micro-batching plus the canonical-key estimate LRU.
+* ``naive``         — one plan pass per request, no cache;
+* ``micro-batched`` — concurrent requests coalesced into vectorised passes;
+* ``batched+cache`` — micro-batching plus the canonical-key estimate LRU.
 
 Asserted shape: micro-batching yields higher QPS than the naive loop (it
-amortises per-pass overhead across coalesced requests), the compiled plan
-only adds to that, the cache short-circuits the model entirely on repeated
-queries (far fewer forward passes than requests), and a registry save/load
-round-trip reproduces the original estimator bit-for-bit on a held-out
-workload.
+amortises per-pass overhead across coalesced requests), the cache
+short-circuits the model entirely on repeated queries (far fewer forward
+passes than requests), and a registry save/load round-trip reproduces the
+original estimator bit-for-bit on a held-out workload.
 """
 
 import numpy as np
@@ -57,23 +54,18 @@ def test_serving_throughput(benchmark, served_model):
     _, trained, workload = served_model
 
     naive = _drive(trained, workload,
-                   ServingConfig(micro_batching=False, cache_capacity=0,
-                                 compiled=False), "naive")
+                   ServingConfig(micro_batching=False, cache_capacity=0), "naive")
     batched = run_once(
         benchmark, _drive, trained, workload,
-        ServingConfig(micro_batching=True, cache_capacity=0, compiled=False),
-        "micro-batched")
-    compiled = _drive(trained, workload,
-                      ServingConfig(micro_batching=True, cache_capacity=0),
-                      "batched+compiled")
+        ServingConfig(micro_batching=True, cache_capacity=0), "micro-batched")
     cached = _drive(trained, workload, ServingConfig(), "batched+cache")
 
     print()
-    print(format_serving_table([naive, batched, compiled, cached],
+    print(format_serving_table([naive, batched, cached],
                                title=f"serving throughput ({CONCURRENCY} threads, "
                                      f"{NUM_REQUESTS} requests)"))
 
-    for report in (naive, batched, compiled, cached):
+    for report in (naive, batched, cached):
         assert report.num_requests >= 2_000
         assert report.concurrency == CONCURRENCY
         assert report.errors == 0
@@ -85,14 +77,6 @@ def test_serving_throughput(benchmark, served_model):
     assert batched.forward_passes < NUM_REQUESTS / 2
     assert naive.forward_passes == NUM_REQUESTS
     assert batched.qps > 1.1 * naive.qps
-
-    # The compiled plan rides on top of micro-batching: strictly less work
-    # per pass than the tape, so switching the runner must not cost QPS.
-    # (Under this load the batcher's wait window, not the forward pass,
-    # bounds latency — the forward-pass margin itself is benchmarked in
-    # test_inference_compiled.py.)
-    assert compiled.forward_passes < NUM_REQUESTS / 2
-    assert compiled.qps > 0.85 * batched.qps
 
     # The cache short-circuits the model entirely on repeated queries: the
     # request stream has at most 250 distinct queries, so nearly all of the

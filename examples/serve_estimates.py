@@ -9,9 +9,9 @@ through the :class:`~repro.serving.ModelRegistry` (together with the compile
 options the service should serve it with), restarts an estimator from the
 registry alone (no training state, no data tuples), and drives the
 :class:`~repro.serving.EstimationService` with a concurrent load test in
-four configurations: naive one-query-per-tape-pass, micro-batched on the
-tape, micro-batched through the compiled float32 plan, and compiled with
-the estimate cache on top.
+three configurations, all served through the persisted float32 plan: naive
+one query per pass, micro-batched, and micro-batched with the estimate
+cache on top.
 
 The final configuration runs with request tracing sampled at 100% and plan
 profiling on, and the script exits by dumping the service's Prometheus-style
@@ -67,13 +67,9 @@ def main() -> None:
                        profile_plan_stages=True)
     reports = []
     modes = [
-        ("naive", ServingConfig(micro_batching=False, cache_capacity=0,
-                                compiled=False)),
-        ("micro-batched", ServingConfig(cache_capacity=0, compiled=False)),
-        ("batched+compiled", ServingConfig(cache_capacity=0,
-                                           inference_dtype="float32")),
-        ("compiled+cache", ServingConfig(inference_dtype="float32",
-                                         obs=traced)),
+        ("naive", ServingConfig(micro_batching=False, cache_capacity=0)),
+        ("micro-batched", ServingConfig(cache_capacity=0)),
+        ("batched+cache", ServingConfig(obs=traced)),
     ]
     last_service = None
     for mode, config in modes:
@@ -86,8 +82,7 @@ def main() -> None:
     print(format_serving_table(reports, title="serving throughput (8 threads)"))
     print(f"\nmicro-batching speedup over naive: "
           f"{reports[1].qps / reports[0].qps:.2f}x; "
-          f"compiled: {reports[2].qps / reports[0].qps:.2f}x; "
-          f"with cache: {reports[3].qps / reports[0].qps:.2f}x")
+          f"with cache: {reports[2].qps / reports[0].qps:.2f}x")
 
     # 5. Observability: the traced run's metrics and worst span trees.
     print("\nmetrics exposition (traced run, excerpt):")

@@ -12,7 +12,7 @@ Public entry points:
 """
 
 from ..data.store import DomainGrowthError
-from .compiled import CompiledDuetModel
+from .compiled import CompiledDuetModel, EstimationBreakdown
 from .config import (
     DuetConfig,
     LifecyclePolicy,
@@ -24,7 +24,7 @@ from .config import (
 )
 from .disjunction import conjoin, estimate_disjunction
 from .encoding import ColumnPredicateEncoder, QueryCodec, binary_width, resolve_value_strategy
-from .estimator import DuetEstimator, EstimationBreakdown
+from .estimator import DuetEstimator
 from .interface import CardinalityEstimator
 from .model import DuetModel
 from .mpsn import MergedMLPInference, MLPMPSN, RecursiveMPSN, RNNMPSN, build_mpsn

@@ -14,30 +14,56 @@ into pure-array form:
   masked probability mass straight from the logits, unconstrained columns
   are skipped entirely.
 
-Weights are copied at compile time: training the model afterwards does not
-change a plan — call :meth:`repro.core.DuetEstimator.compile` again.
+Weights, codec and row count are captured at compile time: training the
+model afterwards does not change a plan — call
+:meth:`repro.core.DuetEstimator.compile` again.  A plan therefore answers for
+exactly one model version, which is what lets the serving layer hot-swap
+models by replacing one plan object.
 
-Plans reuse buffers across calls and are therefore not thread-safe; the
-public entry points serialise on :attr:`CompiledDuetModel.lock` (the serving
-layer funnels all forward passes through one micro-batcher thread anyway, so
-the lock is uncontended there).
+Plans reuse buffers across calls; :meth:`CompiledDuetModel.estimate_with_breakdown`
+serialises the buffer-reusing stages on :attr:`CompiledDuetModel.lock` (the
+serving layer funnels all forward passes through one micro-batcher thread
+anyway, so the lock is uncontended there).
 """
 
 from __future__ import annotations
 
 import threading
 import time
+from typing import Sequence
 
 import numpy as np
 
 from ..nn import ForwardPlan, PlanOptions, no_grad
 from ..nn.inference import masked_block_mass
 from ..nn.tensor import Tensor
+from ..workload.query import Query
 from .encoding import NUM_OPERATORS, OPERATOR_FEATURE_WIDTH
 from .model import DuetModel
 from .mpsn import MLPMPSN, MergedMLPInference, build_mpsn
 
-__all__ = ["CompiledDuetModel"]
+__all__ = ["CompiledDuetModel", "EstimationBreakdown"]
+
+
+class EstimationBreakdown(dict):
+    """Per-phase wall-clock cost of a batch estimation (seconds).
+
+    Keys: ``encoding`` (predicate translation + input encoding) and
+    ``inference`` (network forward pass + zero-out + product).  Figure 6 of
+    the paper plots exactly this breakdown.
+
+    The encoding phase is additionally split into ``translate`` (query
+    predicates into code-space arrays) and ``encode`` (code arrays into the
+    MADE input matrix), with ``encoding == translate + encode`` — the
+    request tracer renders these as separate spans.
+    """
+
+    @classmethod
+    def from_marks(cls, start: float, translated: float, encoded: float,
+                   inferred: float) -> "EstimationBreakdown":
+        """Breakdown of one pass from its four ``perf_counter`` marks."""
+        return cls(translate=translated - start, encode=encoded - translated,
+                   encoding=encoded - start, inference=inferred - encoded)
 
 
 class CompiledDuetModel:
@@ -48,6 +74,7 @@ class CompiledDuetModel:
         self.options = options or PlanOptions()
         self.dtype = self.options.numpy_dtype
         self.codec = model.codec
+        self.num_rows = model.table.num_rows
         self.num_columns = model.num_columns
         self.blocks = model.made.output_block_slices()
         self.made_plan: ForwardPlan = ForwardPlan(model.made.export_stage_specs(),
@@ -265,9 +292,26 @@ class CompiledDuetModel:
             self.phase_seconds["mask"] += time.perf_counter() - started
             self.phase_calls["mask"] += 1
 
-    def selectivities(self, values: np.ndarray, ops: np.ndarray,
-                      masks: list[np.ndarray | None]) -> np.ndarray:
-        """End-to-end compiled Algorithm 3 (thread-safe convenience)."""
+    def estimate_with_breakdown(self, queries: Sequence[Query]
+                                ) -> tuple[np.ndarray, EstimationBreakdown]:
+        """The one compiled pass: translate, encode, MADE, zero-out, × rows.
+
+        Uses only the plan's own codec and row count, so its answers never
+        mix model versions.  Thread-safe: translation runs outside
+        :attr:`lock`, the buffer-reusing stages under it.
+        """
+        queries = list(queries)
+        if not queries:
+            return np.zeros(0, dtype=np.float64), EstimationBreakdown.from_marks(
+                0.0, 0.0, 0.0, 0.0)
+        start = time.perf_counter()
+        values, ops, masks = self.codec.translate_batch(queries)
+        translated = time.perf_counter()
         with self.lock:
             encoded = self.encode(values, ops)
-            return self.selectivity_from_logits(self.logits(encoded), masks)
+            encoded_at = time.perf_counter()
+            selectivity = self.selectivity_from_logits(self.logits(encoded), masks)
+            inferred = time.perf_counter()
+        estimates = np.clip(selectivity, 0.0, 1.0) * self.num_rows
+        return estimates, EstimationBreakdown.from_marks(start, translated,
+                                                         encoded_at, inferred)

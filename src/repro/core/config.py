@@ -137,9 +137,9 @@ class ServingConfig:
     micro_batching:
         When true (the default), concurrent ``estimate()`` calls are
         coalesced by a :class:`~repro.serving.MicroBatcher` into single
-        ``estimate_batch`` forward passes, exploiting the model's vectorised
-        path.  When false the service runs one forward pass per request —
-        the naive mode the throughput benchmark compares against.
+        vectorised passes of the serving plan.  When false the service runs
+        one forward pass per request — the naive mode the throughput
+        benchmark compares against.
     max_batch_size:
         Upper bound on how many queued requests one forward pass may serve.
         Larger batches amortise the per-pass overhead but increase the
@@ -159,19 +159,15 @@ class ServingConfig:
         Number of most-recent request latencies retained for the p50/p90/p99
         statistics; older samples are discarded so a long-running service
         reports a moving window rather than its full history.
-    compiled:
-        When true (the default), the service lowers the estimator's model
-        into a grad-free :class:`~repro.nn.ForwardPlan` (masks folded, fused
-        masked selectivity, preallocated buffers reused across micro-batches)
-        and runs every forward pass through it.  The estimator object itself
-        is left untouched, so its tape path remains available as the
-        equivalence oracle.  Estimators without a compiled form fall back to
-        their ordinary batched path.
     inference_dtype:
-        Arithmetic precision of the compiled serving plan: ``"float64"``
-        (matches the tape path to ~1e-15 relative) or ``"float32"`` (half
-        the memory traffic; agrees to ~1e-5 relative — far below the
-        model's own estimation error).  ``None`` (the default) defers to
+        Arithmetic precision of the serving plan — the service always runs
+        every forward pass through a grad-free
+        :class:`~repro.core.CompiledDuetModel` (masks folded, fused masked
+        selectivity, buffers reused across micro-batches), leaving the
+        estimator's own tape path untouched as the equivalence oracle.
+        ``"float64"`` matches the tape path to ~1e-15 relative; ``"float32"``
+        halves the memory traffic and agrees to ~1e-5 relative — far below
+        the model's own estimation error.  ``None`` (the default) defers to
         the estimator's own compile options — e.g. the dtype persisted in
         the model registry — falling back to ``"float64"`` when the
         estimator carries none.
@@ -192,7 +188,6 @@ class ServingConfig:
     max_wait_ms: float = 2.0
     cache_capacity: int = 8192
     latency_window: int = 65536
-    compiled: bool = True
     inference_dtype: str | None = None
     refresh_epochs: int = 1
     replay_fraction: float = 0.25

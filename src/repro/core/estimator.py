@@ -2,42 +2,31 @@
 
 Two execution paths share the same query translation and zero-out masks:
 
-* the **tape path** runs through the autograd :class:`~repro.nn.Tensor`
-  graph — differentiable, used for training and as the equivalence oracle;
-* the **compiled path** (:meth:`DuetEstimator.compile`) runs a lowered
+* the **compiled path** runs a lowered
   :class:`~repro.core.compiled.CompiledDuetModel` — masks folded, buffers
-  reused, fused masked selectivity, optional ``float32`` — and is the one
-  the serving layer drives.
+  reused, fused masked selectivity, optional ``float32``.  It is the one
+  path the serving layer drives (:meth:`DuetEstimator.plan_for` hands it the
+  plan), and :meth:`DuetEstimator.compile` makes it this estimator's
+  default too;
+* the **tape path** runs through the autograd :class:`~repro.nn.Tensor`
+  graph — differentiable, used for training and as the equivalence oracle
+  (``estimate_batch_with_breakdown(..., compiled=False)``).
 """
 
 from __future__ import annotations
 
 import time
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from ..nn import PlanOptions, no_grad
 from ..workload.query import Query
-from .compiled import CompiledDuetModel
+from .compiled import CompiledDuetModel, EstimationBreakdown
 from .interface import CardinalityEstimator
 from .model import DuetModel
 
-__all__ = ["DuetEstimator", "EstimationBreakdown"]
-
-
-class EstimationBreakdown(dict):
-    """Per-phase wall-clock cost of a batch estimation (seconds).
-
-    Keys: ``encoding`` (predicate translation + input encoding) and
-    ``inference`` (network forward pass + zero-out + product).  Figure 6 of
-    the paper plots exactly this breakdown.
-
-    The encoding phase is additionally split into ``translate`` (query
-    predicates into code-space arrays) and ``encode`` (code arrays into the
-    MADE input matrix), with ``encoding == translate + encode`` — the
-    request tracer renders these as separate spans.
-    """
+__all__ = ["DuetEstimator"]
 
 
 class DuetEstimator(CardinalityEstimator):
@@ -87,40 +76,20 @@ class DuetEstimator(CardinalityEstimator):
         """
         return self._compiled.options if self.compiled else None
 
-    def timed_batch_runner(self, options: PlanOptions | None = None
-                           ) -> Callable[[Sequence[Query]],
-                                         tuple[np.ndarray, EstimationBreakdown]]:
-        """A compiled ``queries -> (estimates, breakdown)`` runner.
+    def plan_for(self, options: PlanOptions | None = None) -> CompiledDuetModel:
+        """A compiled plan of the current weights with ``options``.
 
-        Reuses this estimator's existing plan when its options match (plans
-        serialise on their own lock, so sharing is safe); otherwise builds a
-        private plan — either way the estimator's own default path is not
-        flipped, so the tape stays available as the equivalence oracle.
+        Shares this estimator's own plan when its options match and it was
+        lowered from the current model (plans serialise on their own lock,
+        so sharing is safe); otherwise builds a private plan.  Either way the
+        estimator's default path is not flipped, so the tape stays available
+        as the equivalence oracle.
         """
         options = options or PlanOptions()
-        if self._compiled is not None and self._compiled.options == options:
-            compiled = self._compiled
-        else:
-            compiled = CompiledDuetModel(self.model, options)
-
-        def runner(queries):
-            return self._run_batch(list(queries), compiled)
-
-        # Expose the plan so callers can reach through for per-stage
-        # profiling (service.enable profiling hooks) without widening the
-        # queries -> (estimates, breakdown) runner contract.
-        runner.compiled = compiled
-        return runner
-
-    def tape_batch_runner(self) -> Callable[[Sequence[Query]],
-                                            tuple[np.ndarray, EstimationBreakdown]]:
-        """A ``queries -> (estimates, breakdown)`` runner pinned to the tape.
-
-        For callers (``ServingConfig(compiled=False)``) that need the
-        autograd path regardless of how this estimator was compiled — e.g.
-        bit-exact reproducibility with an uncompiled reference.
-        """
-        return lambda queries: self._run_batch(list(queries), None)
+        plan = self._compiled
+        if plan is not None and plan.options == options and plan.model is self.model:
+            return plan
+        return CompiledDuetModel(self.model, options)
 
     # ------------------------------------------------------------------
     # Estimation
@@ -132,20 +101,6 @@ class DuetEstimator(CardinalityEstimator):
         estimates, _ = self.estimate_batch_with_breakdown(queries)
         return estimates
 
-    def estimate_batch_timed(self, queries: Sequence[Query]
-                             ) -> tuple[np.ndarray, EstimationBreakdown]:
-        """Batched serving entry point with per-query latency metadata.
-
-        Extends the base-class contract with Duet's encoding/inference phase
-        split: the returned breakdown holds ``encoding``, ``inference``,
-        ``total`` and ``per_query`` (all seconds).
-        """
-        started = time.perf_counter()
-        estimates, breakdown = self.estimate_batch_with_breakdown(queries)
-        breakdown["total"] = time.perf_counter() - started
-        breakdown["per_query"] = breakdown["total"] / max(len(queries), 1)
-        return estimates, breakdown
-
     def estimate_batch_with_breakdown(
         self, queries: Sequence[Query], compiled: bool | None = None
     ) -> tuple[np.ndarray, EstimationBreakdown]:
@@ -155,47 +110,33 @@ class DuetEstimator(CardinalityEstimator):
         with default options on first use), ``False`` the tape path, ``None``
         (default) whatever :meth:`compile` selected.
         """
-        queries = list(queries)
         use_compiled = self.compiled if compiled is None else compiled
-        if use_compiled and self._compiled is None:
-            self._compiled = CompiledDuetModel(self.model)
-        plan = self._compiled if use_compiled else None
-        return self._run_batch(queries, plan)
+        if use_compiled:
+            if self._compiled is None:
+                self._compiled = CompiledDuetModel(self.model)
+            return self._compiled.estimate_with_breakdown(queries)
+        return self._tape_batch(list(queries))
 
-    def _run_batch(self, queries: list[Query],
-                   compiled: CompiledDuetModel | None
-                   ) -> tuple[np.ndarray, EstimationBreakdown]:
+    def _tape_batch(self, queries: list[Query]
+                    ) -> tuple[np.ndarray, EstimationBreakdown]:
+        """The autograd pass, mirroring :meth:`CompiledDuetModel.estimate_with_breakdown`."""
+        model = self.model
         if not queries:
-            return (np.zeros(0, dtype=np.float64),
-                    EstimationBreakdown(translate=0.0, encode=0.0,
-                                        encoding=0.0, inference=0.0))
+            return np.zeros(0, dtype=np.float64), EstimationBreakdown.from_marks(
+                0.0, 0.0, 0.0, 0.0)
         start = time.perf_counter()
-        values, ops, masks = self.model.codec.translate_batch(queries)
-        after_translate = time.perf_counter()
-        if compiled is not None:
-            with compiled.lock:
-                encoded = compiled.encode(values, ops)
-                after_encoding = time.perf_counter()
-                logits = compiled.logits(encoded)
-                selectivity = compiled.selectivity_from_logits(logits, masks)
-                after_inference = time.perf_counter()
-        else:
-            self.model.eval()
-            with no_grad():
-                encoded = self.model.encode_batch(values, ops)
-                after_encoding = time.perf_counter()
-                outputs = self.model.made(encoded)
-                selectivity = self.model.selectivity_from_outputs(outputs, masks).numpy()
-                after_inference = time.perf_counter()
-        selectivity = np.clip(selectivity, 0.0, 1.0)
-        estimates = selectivity * self.table.num_rows
-        breakdown = EstimationBreakdown(
-            translate=after_translate - start,
-            encode=after_encoding - after_translate,
-            encoding=after_encoding - start,
-            inference=after_inference - after_encoding,
-        )
-        return estimates, breakdown
+        values, ops, masks = model.codec.translate_batch(queries)
+        translated = time.perf_counter()
+        model.eval()
+        with no_grad():
+            encoded = model.encode_batch(values, ops)
+            encoded_at = time.perf_counter()
+            outputs = model.made(encoded)
+            selectivity = model.selectivity_from_outputs(outputs, masks).numpy()
+            inferred = time.perf_counter()
+        estimates = np.clip(selectivity, 0.0, 1.0) * model.table.num_rows
+        return estimates, EstimationBreakdown.from_marks(start, translated,
+                                                         encoded_at, inferred)
 
     # ------------------------------------------------------------------
     def size_bytes(self) -> int:

@@ -16,30 +16,16 @@ import queue
 import threading
 import time
 from concurrent.futures import Future
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from ..workload.query import Query
 
-__all__ = ["MicroBatcher", "BatcherStats"]
+__all__ = ["MicroBatcher"]
 
 #: sentinel enqueued by :meth:`MicroBatcher.close` to wake the scheduler
 _SHUTDOWN = object()
-
-
-@dataclass(frozen=True)
-class BatcherStats:
-    """Occupancy counters of a batcher (snapshot)."""
-
-    num_batches: int
-    num_requests: int
-    max_batch_size: int
-
-    @property
-    def mean_batch_size(self) -> float:
-        return self.num_requests / self.num_batches if self.num_batches else 0.0
 
 
 class _Request:
@@ -54,15 +40,16 @@ class _Request:
 class MicroBatcher:
     """Coalesces single-query requests into batched ``runner`` calls.
 
-    ``runner`` receives a list of queries and must return one estimate per
-    query (anything :func:`numpy.asarray` accepts).  It may instead return
-    an ``(estimates, extra)`` tuple; the ``extra`` payload (the serving
-    runner's per-stage timing breakdown) is handed to each request's
-    ``on_batch`` callback.  Exceptions raised by the runner propagate to
-    every future of the affected batch.
+    ``runner`` receives a list of queries and returns ``(estimates, extra)``:
+    one estimate per query (anything :func:`numpy.asarray` accepts) and a
+    payload — the serving plan's per-stage timing breakdown — handed to each
+    request's ``on_batch`` callback.  Exceptions raised by the runner
+    propagate to every future of the affected batch.  Pass counts live in
+    the service's metrics (``repro_batches_total``, ``repro_batch_size``),
+    not here.
     """
 
-    def __init__(self, runner: Callable[[Sequence[Query]], np.ndarray],
+    def __init__(self, runner: Callable[[Sequence[Query]], tuple[np.ndarray, object]],
                  max_batch_size: int = 64, max_wait_ms: float = 2.0) -> None:
         if max_batch_size <= 0:
             raise ValueError("max_batch_size must be positive")
@@ -72,13 +59,9 @@ class MicroBatcher:
         self.max_batch_size = max_batch_size
         self.max_wait = max_wait_ms / 1e3
         self._queue: "queue.Queue" = queue.Queue()
-        self._lock = threading.Lock()
         # Serialises submit() against close() so no request can be enqueued
         # after the shutdown sentinel (it would never be resolved).
         self._lifecycle = threading.Lock()
-        self._num_batches = 0
-        self._num_requests = 0
-        self._largest_batch = 0
         self._closed = False
         self._thread = threading.Thread(target=self._loop,
                                         name="repro-microbatcher", daemon=True)
@@ -105,12 +88,6 @@ class MicroBatcher:
     def estimate(self, query: Query) -> float:
         """Convenience blocking wrapper around :meth:`submit`."""
         return self.submit(query).result()
-
-    def stats(self) -> BatcherStats:
-        with self._lock:
-            return BatcherStats(num_batches=self._num_batches,
-                                num_requests=self._num_requests,
-                                max_batch_size=self._largest_batch)
 
     # ------------------------------------------------------------------
     def close(self) -> None:
@@ -158,10 +135,7 @@ class MicroBatcher:
     def _run_batch(self, batch: list[_Request]) -> None:
         queries = [request.query for request in batch]
         try:
-            result = self._runner(queries)
-            extra = None
-            if isinstance(result, tuple):
-                result, extra = result
+            result, extra = self._runner(queries)
             estimates = np.asarray(result, dtype=np.float64)
             if estimates.shape != (len(batch),):
                 raise ValueError(
@@ -170,10 +144,6 @@ class MicroBatcher:
             for request in batch:
                 request.future.set_exception(error)
             return
-        with self._lock:
-            self._num_batches += 1
-            self._num_requests += len(batch)
-            self._largest_batch = max(self._largest_batch, len(batch))
         for request, estimate in zip(batch, estimates):
             if request.on_batch is not None:
                 try:

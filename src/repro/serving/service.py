@@ -1,15 +1,15 @@
 """Online estimation service: the frontend tying registry, cache, batcher and
 stats together.
 
-One :class:`EstimationService` wraps one :class:`~repro.core.CardinalityEstimator`
-(usually a :class:`~repro.core.DuetEstimator` reloaded from a
-:class:`~repro.serving.ModelRegistry`) and answers concurrent single-query
-``estimate()`` calls:
+One :class:`EstimationService` wraps one :class:`~repro.core.DuetEstimator`
+(usually reloaded from a :class:`~repro.serving.ModelRegistry`) and answers
+concurrent single-query ``estimate()`` calls:
 
 1. the query is canonicalised into a cache key; a hit returns immediately
    without touching the model,
 2. on a miss the query is handed to the :class:`~repro.serving.MicroBatcher`,
-   which coalesces concurrent misses into one vectorised forward pass,
+   which coalesces concurrent misses into one pass of the service's
+   :class:`~repro.core.CompiledDuetModel` plan — the only serving path,
 3. the result is cached and the request latency recorded.
 
 The service is thread-safe and meant to be shared across worker threads —
@@ -22,7 +22,9 @@ the service also owns the staleness side of the lifecycle: it knows which
 been appended since (:meth:`EstimationService.staleness`), and can
 :meth:`~EstimationService.refresh` itself — incremental fine-tune on the
 delta, re-register the model, hot-swap the compiled plan, and flush the
-estimate cache, all while the old plan keeps serving traffic.
+estimate cache, all while the old plan keeps serving traffic.  A plan owns
+its weights, codec and row count, so the swap is one attribute assignment
+and no request ever sees a mix of two model versions.
 """
 
 from __future__ import annotations
@@ -33,14 +35,15 @@ from typing import Sequence
 
 import numpy as np
 
+from ..core.compiled import CompiledDuetModel
 from ..core.config import ServingConfig
-from ..core.interface import CardinalityEstimator
+from ..core.estimator import DuetEstimator
 from ..core.trainer import DuetTrainer
 from ..data.store import ColumnStore
 from ..nn import PlanOptions
 from ..obs import MetricsRegistry, Trace, Tracer
 from ..workload.query import Query
-from .batcher import BatcherStats, MicroBatcher
+from .batcher import MicroBatcher
 from .cache import EstimateCache, QueryKeyEncoder
 from .registry import ModelRegistry, RegistryEntry
 from .stats import ServiceStats, StatsSnapshot
@@ -51,7 +54,7 @@ __all__ = ["EstimationService"]
 class EstimationService:
     """Concurrent, cached, micro-batched frontend over one estimator."""
 
-    def __init__(self, estimator: CardinalityEstimator,
+    def __init__(self, estimator: DuetEstimator,
                  config: ServingConfig | None = None,
                  *,
                  store: ColumnStore | None = None,
@@ -89,11 +92,12 @@ class EstimationService:
         self.metrics.gauge("repro_cache_entries",
                            "Live entries of the estimate LRU cache.",
                            fn=lambda: len(self.cache))
+        #: the serving plan: every forward pass runs through it, and a
+        #: hot-swap replaces it with one assignment
+        self._plan: CompiledDuetModel = self._build_plan()
         self.metrics.gauge("repro_plan_buffer_bytes",
-                           "Reusable buffer footprint of the serving plan "
-                           "(0 when uncompiled).",
-                           fn=self._plan_buffer_bytes)
-        self._timed_runner = self._build_runner()
+                           "Reusable buffer footprint of the serving plan.",
+                           fn=lambda: self._plan.buffer_bytes)
         self._refresh_lock = threading.Lock()
         self._observers: tuple = ()
         self._observer_lock = threading.Lock()
@@ -107,52 +111,32 @@ class EstimationService:
         """Cache-key scope: estimates are only valid for this identity."""
         return (self.dataset, self.model_version, self.data_version)
 
-    def _build_runner(self):
-        """Select the batch runner for the current model weights.
+    def _build_plan(self) -> CompiledDuetModel:
+        """Lower the estimator's current model into this service's plan.
 
-        Compiled fast path: lower the model into a plan for this service
-        (reusing the estimator's own plan when the options match; the
-        estimator's default path is never mutated).  All passes funnel
-        through the single batcher thread, so plan buffers are reused
-        batch after batch.  ``compiled=False`` pins the tape path even
-        when the estimator itself was compiled (e.g. by a registry load),
-        so the mode really is one-tape-pass-per-batch.
+        ``inference_dtype=None`` defers to the estimator's own options (e.g.
+        the dtype persisted in the registry); matching options share the
+        estimator's existing plan instead of building a second one.  The
+        estimator's default path is never flipped.  All passes funnel
+        through the single batcher thread, so plan buffers are reused batch
+        after batch.
         """
-        estimator = self.estimator
-        if self.config.compiled:
-            factory = getattr(estimator, "timed_batch_runner", None)
-            if factory is not None:
-                dtype = self.config.inference_dtype
-                if dtype is None:
-                    # Defer to the estimator's own options (e.g. the dtype
-                    # persisted in the registry); the matching options also
-                    # let the runner share the estimator's existing plan.
-                    persisted = getattr(estimator, "compile_options", None)
-                    dtype = persisted.dtype if persisted is not None else "float64"
-                runner = factory(PlanOptions(dtype=dtype))
-                if self.config.obs.profile_plan_stages:
-                    compiled = getattr(runner, "compiled", None)
-                    if compiled is not None:
-                        compiled.enable_profiling(True)
-                return runner
-        else:
-            tape_factory = getattr(estimator, "tape_batch_runner", None)
-            if tape_factory is not None:
-                return tape_factory()
-        return estimator.estimate_batch_timed
+        dtype = self.config.inference_dtype
+        if dtype is None:
+            persisted = self.estimator.compile_options
+            dtype = persisted.dtype if persisted is not None else "float64"
+        plan = self.estimator.plan_for(PlanOptions(dtype=dtype))
+        if self.config.obs.profile_plan_stages:
+            plan.enable_profiling(True)
+        return plan
 
-    def _plan_buffer_bytes(self) -> int:
-        compiled = getattr(self._timed_runner, "compiled", None)
-        return compiled.buffer_bytes if compiled is not None else 0
-
-    def profile_report(self) -> dict | None:
+    def profile_report(self) -> dict:
         """Per-stage attribution of the serving plan's time.
 
-        ``None`` when the service runs uncompiled; all-zero counters until
-        ``ObsConfig.profile_plan_stages`` enables the hooks.
+        All-zero counters until ``ObsConfig.profile_plan_stages`` enables
+        the hooks.
         """
-        compiled = getattr(self._timed_runner, "compiled", None)
-        return compiled.profile_report() if compiled is not None else None
+        return self._plan.profile_report()
 
     @classmethod
     def from_registry(cls, registry: ModelRegistry | str, dataset: str,
@@ -236,7 +220,7 @@ class EstimationService:
         else:
             batch_started = time.perf_counter()
             estimates, breakdown = self._run_batch([query])
-            estimate = float(np.asarray(estimates)[0])
+            estimate = float(estimates[0])
             if trace is not None:
                 trace.attach_breakdown(breakdown, 1)
                 trace.add_batch_span(time.perf_counter() - batch_started)
@@ -271,9 +255,7 @@ class EstimationService:
             else:
                 estimates[index] = cached
         if missing:
-            estimates_missing, _ = self._run_batch(
-                [queries[index] for index in missing])
-            computed = np.asarray(estimates_missing, dtype=np.float64)
+            computed, _ = self._run_batch([queries[index] for index in missing])
             for position, index in enumerate(missing):
                 estimates[index] = computed[position]
                 if keys[index] is not None and self._keys is encoder:
@@ -291,10 +273,10 @@ class EstimationService:
         monitoring traffic neither skews the operator-facing request/latency
         statistics nor evicts organic entries from the estimate cache.
         Runs whatever plan currently serves (safe concurrently with the
-        batcher: compiled plans serialise on their own lock).
+        batcher: plans serialise on their own lock).
         """
-        estimates, _ = self._timed_runner(list(queries))
-        return np.asarray(estimates, dtype=np.float64)
+        estimates, _ = self._plan.estimate_with_breakdown(queries)
+        return estimates
 
     def _run_batch(self, queries: Sequence[Query]):
         """One forward pass; returns ``(estimates, breakdown)``.
@@ -302,7 +284,7 @@ class EstimationService:
         The breakdown rides through the micro-batcher's ``extra`` channel to
         traced requests (see :meth:`MicroBatcher.submit`).
         """
-        estimates, breakdown = self._timed_runner(queries)
+        estimates, breakdown = self._plan.estimate_with_breakdown(queries)
         self.stats.record_batch(len(queries))
         return estimates, breakdown
 
@@ -332,13 +314,11 @@ class EstimationService:
         Runs :meth:`DuetTrainer.fine_tune` over the delta between the served
         model's ``data_version`` and the store's current snapshot — appended
         rows trained on directly, removed rows replayed as negatives.  The
-        fine-tune happens on a parameter *clone*, so concurrent traffic —
-        compiled or tape path — keeps reading the untouched original until
-        the single attribute swap at the end; then the serving plan is
-        recompiled from the tuned weights, the estimate cache is re-keyed
-        and flushed, and — when a registry is attached — the refreshed
-        model is registered under a new version carrying the new
-        ``data_version``.
+        fine-tune happens on a parameter *clone*, so concurrent traffic
+        keeps reading the untouched serving plan; when a registry is
+        attached the tuned model is registered under a new version carrying
+        the new ``data_version``, and then :meth:`_install` builds its plan
+        and swaps it in, re-keying and flushing the estimate cache.
 
         ``throttle`` is passed through to the fine-tuning loop (called after
         every optimiser step); the lifecycle scheduler uses it to make the
@@ -397,7 +377,7 @@ class EstimationService:
                     tuned, self.dataset, version=version,
                     metadata={"fine_tuned_from": self.model_version,
                               "base_data_version": delta.base_version},
-                    compile_options=getattr(self.estimator, "compile_options", None),
+                    compile_options=self.estimator.compile_options,
                     data_version=snapshot.data_version)
             try:
                 self._install(tuned, snapshot.data_version,
@@ -416,10 +396,9 @@ class EstimationService:
 
         The cold-train escalation path: a model trained out-of-band (its
         table may carry *grown* domains the old model could not absorb) is
-        swapped in exactly like a refresh result — tape path flipped by one
-        attribute assignment, compiled plan rebuilt, cache re-keyed and
-        flushed — while concurrent requests keep reading the old model
-        until the swap completes.  ``data_version`` defaults to the model
+        swapped in exactly like a refresh result — its plan built while the
+        old one keeps serving, then made live by one attribute assignment,
+        cache re-keyed and flushed.  ``data_version`` defaults to the model
         table's own version when it is a snapshot.
         """
         with self._refresh_lock:
@@ -431,20 +410,26 @@ class EstimationService:
                  model_version: str | None) -> None:
         """Hot-swap tail shared by refresh() and swap_model().
 
-        Caller holds ``_refresh_lock``.  One attribute assignment flips the
-        tape path to the new weights; the compiled plan is then rebuilt from
-        them, and the cache is re-keyed before dropping the stale entries.
+        Caller holds ``_refresh_lock``.  The estimator is re-pointed first
+        (requests never read it), then the new plan is built — one plan,
+        shared with a compiled estimator when the options match — while the
+        old plan keeps answering.  A plan carries its own codec and row
+        count, so the single ``_plan`` assignment switches every request
+        from the old version to the new one with no mixed answers.  The
+        cache is re-keyed before dropping the stale entries.
         """
-        self.estimator.model = model
-        self.estimator.table = model.table
-        self.estimator.data_version = data_version
+        estimator = self.estimator
+        estimator.model = model
+        estimator.table = model.table
+        estimator.data_version = data_version
         if model_version is not None:
-            self.estimator.model_version = model_version
+            estimator.model_version = model_version
+        if estimator.compiled:
+            estimator.compile(estimator.compile_options)
+        self._plan = self._build_plan()
+        if model_version is not None:
             self.model_version = model_version
-        if getattr(self.estimator, "compiled", False):
-            self.estimator.compile(self.estimator.compile_options)
         self.data_version = data_version
-        self._timed_runner = self._build_runner()
         self._keys = QueryKeyEncoder(model.table, namespace=self._namespace())
         self.cache.clear()
         self.stats.record_swap()
@@ -454,9 +439,6 @@ class EstimationService:
     # ------------------------------------------------------------------
     def snapshot(self) -> StatsSnapshot:
         return self.stats.snapshot()
-
-    def batcher_stats(self) -> BatcherStats | None:
-        return self._batcher.stats() if self._batcher is not None else None
 
     @property
     def table(self):

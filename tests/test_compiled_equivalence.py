@@ -191,44 +191,32 @@ class TestServingCompiledRunner:
         np.testing.assert_allclose(served, estimator.estimate_batch(queries),
                                    rtol=5e-4, atol=5e-4)
 
-    def test_compiled_can_be_disabled(self, table):
-        model = DuetModel(table, CONFIGS["plain"])
-        estimator = DuetEstimator(model)
-        queries = _workload(table, CONFIGS["plain"], num_queries=20).queries
-        config = ServingConfig(cache_capacity=0, micro_batching=False, compiled=False)
-        with EstimationService(estimator, config) as service:
-            served = service.estimate_batch(queries)
-        np.testing.assert_array_equal(served, estimator.estimate_batch(queries))
-
-    def test_compiled_false_pins_tape_for_registry_loads(self, tmp_path, table):
-        """compiled=False serves the tape even when the estimator itself was
-        compiled on load — bit-for-bit with an uncompiled reference."""
-        model = DuetModel(table, CONFIGS["plain"])
-        registry = ModelRegistry(tmp_path)
-        registry.save(model, dataset="census",
-                      compile_options=PlanOptions(dtype="float32"))
-        reloaded = registry.load_estimator("census")
-        assert reloaded.compiled
-        queries = _workload(table, CONFIGS["plain"], num_queries=20).queries
-        config = ServingConfig(cache_capacity=0, micro_batching=False, compiled=False)
-        with EstimationService(reloaded, config) as service:
-            served = service.estimate_batch(queries)
-        reference = DuetEstimator(model).estimate_batch(queries)
-        np.testing.assert_array_equal(served, reference)
-
     def test_service_reuses_matching_estimator_plan(self, table):
-        """timed_batch_runner shares the estimator's plan when options match
+        """The service shares the estimator's plan when options match
         (no second weight snapshot per service)."""
         model = DuetModel(table, CONFIGS["plain"])
         estimator = DuetEstimator(model).compile(PlanOptions(dtype="float32"))
-        runner = estimator.timed_batch_runner(PlanOptions(dtype="float32"))
-        assert runner.__closure__ is not None
-        shared = [cell.cell_contents for cell in runner.__closure__
-                  if cell.cell_contents is estimator._compiled]
-        assert shared, "matching options should reuse the estimator's plan"
-        other = estimator.timed_batch_runner(PlanOptions(dtype="float64"))
-        assert not [cell.cell_contents for cell in other.__closure__
-                    if cell.cell_contents is estimator._compiled]
+        matching = ServingConfig(cache_capacity=0, inference_dtype="float32")
+        with EstimationService(estimator, matching) as service:
+            assert service._plan is estimator._compiled
+        other = ServingConfig(cache_capacity=0, inference_dtype="float64")
+        with EstimationService(estimator, other) as service:
+            assert service._plan is not estimator._compiled
+            assert service._plan.options == PlanOptions(dtype="float64")
+
+    def test_swap_never_reuses_a_plan_of_the_outgoing_model(self, table):
+        """A plan cached by an explicit ``compiled=True`` call holds the old
+        weights: after a swap the service must lower the incoming model."""
+        estimator = DuetEstimator(DuetModel(table, CONFIGS["plain"]))
+        queries = _workload(table, CONFIGS["plain"], num_queries=10).queries
+        estimator.estimate_batch_with_breakdown(queries, compiled=True)
+        incoming = DuetModel(table, DuetConfig(hidden_sizes=(48, 48), seed=1))
+        config = ServingConfig(cache_capacity=0, micro_batching=False)
+        with EstimationService(estimator, config) as service:
+            service.swap_model(incoming)
+            served = service.estimate_batch(queries)
+        np.testing.assert_allclose(
+            served, DuetEstimator(incoming).estimate_batch(queries), rtol=1e-9)
 
     def test_service_defers_to_persisted_compile_options(self, tmp_path, table):
         """Default ServingConfig serves a registry-loaded estimator through
@@ -240,9 +228,7 @@ class TestServingCompiledRunner:
         reloaded = registry.load_estimator("census")
         config = ServingConfig(cache_capacity=0, micro_batching=False)
         with EstimationService(reloaded, config) as service:
-            runner_cells = [cell.cell_contents
-                            for cell in service._timed_runner.__closure__]
-            assert reloaded._compiled in runner_cells  # shared, float32 plan
+            assert service._plan is reloaded._compiled  # shared, float32 plan
             queries = _workload(table, CONFIGS["plain"], num_queries=10).queries
             served = service.estimate_batch(queries)
         np.testing.assert_allclose(

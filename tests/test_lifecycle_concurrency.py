@@ -15,7 +15,8 @@ import time
 import numpy as np
 import pytest
 
-from repro.core import DuetConfig, DuetModel, DuetTrainer, ServingConfig
+from repro.core import (CompiledDuetModel, DuetConfig, DuetModel, DuetTrainer,
+                        ServingConfig)
 from repro.data import ColumnStore, Table
 from repro.serving import EstimationService, ModelRegistry
 from repro.workload import make_random_workload
@@ -63,6 +64,63 @@ def _delete_random(store, count, seed):
     if count == 0:
         return store.snapshot()
     return store.delete(rng.choice(live, size=count, replace=False))
+
+
+def _probe_while_building(monkeypatch, service, queries) -> list:
+    """Probe the service every time a plan is built; return the answers.
+
+    Each entry is the estimate array, or the exception a probe raised:
+    what a request arriving mid-swap — after the swap began, before the
+    incoming plan exists — would have been served.
+    """
+    answers = []
+    original = CompiledDuetModel.__init__
+
+    def building(plan, *args, **kwargs):
+        try:
+            answers.append(service.probe_batch(queries))
+        except Exception as error:  # noqa: BLE001 — recorded for the assert
+            answers.append(error)
+        original(plan, *args, **kwargs)
+
+    monkeypatch.setattr(CompiledDuetModel, "__init__", building)
+    return answers
+
+
+class TestSwapAtomicity:
+    """Requests mid-swap get the outgoing version's answers, never a mix."""
+
+    def test_refresh_mid_swap_keeps_outgoing_row_count(self, serving_stack,
+                                                        monkeypatch):
+        service, store, workload = serving_stack
+        queries = workload.queries
+        outgoing = service.probe_batch(queries)
+        _append_in_domain(store, 200, seed=71)  # 400 -> 600 rows
+        answers = _probe_while_building(monkeypatch, service, queries)
+        assert service.refresh() is not None
+        assert answers, "the refresh must build an incoming plan"
+        for answer in answers:
+            # Not outgoing * 600 / 400: old weights with the old row count.
+            np.testing.assert_array_equal(answer, outgoing)
+        assert service.table.num_rows == 600
+        assert not np.array_equal(service.probe_batch(queries), outgoing)
+
+    def test_grown_domain_swap_never_fails_mid_swap(self, serving_stack,
+                                                    monkeypatch):
+        service, store, workload = serving_stack
+        queries = workload.queries
+        outgoing = service.probe_batch(queries)
+        rng = np.random.default_rng(72)
+        grown = store.append({"a": rng.integers(100, 120, size=40),
+                              "b": rng.choice(["y", "z"], size=40)})
+        model = DuetModel(grown, CONFIG)
+        answers = _probe_while_building(monkeypatch, service, queries)
+        service.swap_model(model, model_version="cold")
+        assert answers, "the swap must build an incoming plan"
+        for answer in answers:
+            assert not isinstance(answer, Exception), answer
+            np.testing.assert_array_equal(answer, outgoing)
+        assert np.isfinite(service.probe_batch(queries)).all()
 
 
 class TestConcurrentRefresh:

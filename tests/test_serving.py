@@ -114,7 +114,7 @@ class TestMicroBatcher:
         def runner(queries):
             observed_batches.append(len(queries))
             time.sleep(0.005)  # keep a pass in flight so the queue fills
-            return [float(query.predicates[0].value) for query in queries]
+            return [float(query.predicates[0].value) for query in queries], None
 
         queries = [Query.from_triples([("age", "=", value)]) for value in range(40)]
         with MicroBatcher(runner, max_batch_size=16, max_wait_ms=5.0) as batcher:
@@ -132,14 +132,12 @@ class TestMicroBatcher:
                 thread.start()
             for thread in threads:
                 thread.join()
-            stats = batcher.stats()
 
         # Every request got its own answer back, in spite of coalescing.
         assert results == {value: float(value) for value in range(40)}
-        assert stats.num_requests == 40
-        assert stats.num_batches == len(observed_batches)
-        assert stats.max_batch_size > 1          # coalescing actually happened
-        assert stats.num_batches < 40            # fewer passes than requests
+        assert sum(observed_batches) == 40
+        assert max(observed_batches) > 1         # coalescing actually happened
+        assert len(observed_batches) < 40        # fewer passes than requests
         assert max(observed_batches) <= 16       # cap respected
 
     def test_runner_errors_propagate_to_futures(self):
@@ -152,13 +150,13 @@ class TestMicroBatcher:
                 future.result(timeout=5)
 
     def test_submit_after_close_raises(self):
-        batcher = MicroBatcher(lambda queries: [0.0] * len(queries))
+        batcher = MicroBatcher(lambda queries: ([0.0] * len(queries), None))
         batcher.close()
         with pytest.raises(RuntimeError):
             batcher.submit(Query.from_triples([("age", "=", 1)]))
 
     def test_shape_mismatch_is_reported(self):
-        with MicroBatcher(lambda queries: [1.0, 2.0, 3.0],
+        with MicroBatcher(lambda queries: ([1.0, 2.0, 3.0], None),
                           max_batch_size=1) as batcher:
             future = batcher.submit(Query.from_triples([("age", "=", 1)]))
             with pytest.raises(ValueError, match="runner returned shape"):
