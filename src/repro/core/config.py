@@ -270,9 +270,6 @@ class LifecyclePolicy:
         Registry retention: prune a dataset's versions down to this many
         after each successful tune (the served version is never pruned).
         ``None`` keeps everything.
-    trim_store_versions:
-        Store retention: drop per-version metadata made unreachable once no
-        live snapshot references versions that old.
     compact_tombstone_fraction:
         Compaction trigger: when the store's dead-row fraction
         (:attr:`~repro.data.ColumnStore.tombstone_fraction`) reaches this
@@ -324,7 +321,6 @@ class LifecyclePolicy:
     tune_slice_batches: int = 8
     tune_yield_seconds: float = 0.002
     keep_model_versions: int | None = 3
-    trim_store_versions: bool = True
     compact_tombstone_fraction: float | None = 0.30
     canary_margin: float | None = 1.1
     failure_backoff_seconds: float = 2.0

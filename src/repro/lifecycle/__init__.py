@@ -10,8 +10,8 @@ the loop close itself.  Five cooperating parts:
 * :class:`RefreshScheduler` — a daemon-thread policy loop with debounce,
   cooldown, and backpressure (at most one tune in flight; tuning yields to
   serving in bounded batch slices) that drives
-  :meth:`~repro.serving.EstimationService.refresh`;
-* cold-train escalation (:func:`cold_train_and_swap`) — when a refresh hits
+  :meth:`~repro.serving.EstimationService.tune`;
+* cold-train escalation (:func:`cold_train_and_swap`) — when a tune hits
   a :class:`~repro.data.DomainGrowthError`, a fresh model is trained on the
   new snapshot in the background and swapped in atomically;
 * :class:`RetentionPolicy` — prunes superseded registry versions and trims
@@ -27,10 +27,12 @@ the loop close itself.  Five cooperating parts:
   (:class:`FaultSpec`) threaded through trainer/registry/store seams, so
   the whole control plane can be chaos-tested reproducibly.
 
-The scheduler also carries the failure half of the control plane:
-exponential backoff on consecutive tune failures and a circuit breaker
-that parks the tune path entirely after too many, half-opening for a trial
-after a cooldown.  Everything the controller does lands in a structured
+Every tune attempt — fine-tune, cold train, compaction escalation — ends in
+one :class:`~repro.serving.TuneOutcome`, and the scheduler admits each
+attempt by one rule.  The scheduler also carries the failure half of the
+control plane: exponential backoff on consecutive tune failures and a
+circuit breaker that parks the tune path entirely after too many,
+half-opening for a trial after a cooldown.  Everything the controller does lands in a structured
 :class:`EventLog`.  All knobs live in :class:`~repro.core.LifecyclePolicy`.
 
 Quickstart::
@@ -43,7 +45,7 @@ Quickstart::
         serve_traffic(service)                # refreshes happen on their own
 """
 
-from .coldtrain import ColdTrainResult, cold_train_and_swap, start_cold_train
+from .coldtrain import cold_train_and_swap, start_cold_train
 from .compaction import CompactionPolicy, CompactionReport
 from .events import EventLog, LifecycleEvent
 from .faults import FaultInjector, FaultSpec, InjectedFault, SimulatedCrash
@@ -59,7 +61,6 @@ __all__ = [
     "RefreshDecision",
     "DriftMonitor",
     "RefreshScheduler",
-    "ColdTrainResult",
     "cold_train_and_swap",
     "start_cold_train",
     "RetentionPolicy",

@@ -1,136 +1,79 @@
 """Cold-train escalation: when fine-tuning cannot absorb a change, retrain.
 
 An append that grows a column's domain changes the model's encoding and
-output shapes, so :meth:`EstimationService.refresh` raises a typed
+output shapes, so :meth:`EstimationService.tune` fails with a typed
 :class:`~repro.data.DomainGrowthError` instead of fine-tuning.  Before the
 lifecycle controller existed that error stopped the story; this module makes
 domain growth degrade to *eventual freshness*: a brand-new
 :class:`~repro.core.DuetModel` is trained on the offending snapshot (same
-architecture config as the served model), registered under a new version,
-and atomically swapped into the service — while the old model keeps serving
-every request until the very last step.
+architecture config as the served model) and committed through the same
+gate → save → install tail as a fine-tune
+(:meth:`~repro.serving.EstimationService.commit`) — while the old model
+keeps serving every request until the very last step.
 """
 
 from __future__ import annotations
 
 import threading
+from concurrent.futures import Future
 
 from ..core.model import DuetModel
 from ..core.trainer import DuetTrainer
+from ..serving.service import TuneOutcome
 
-__all__ = ["ColdTrainResult", "cold_train_and_swap", "start_cold_train"]
-
-
-class ColdTrainResult:
-    """Outcome handle of one cold train (synchronous or background).
-
-    ``wait()`` joins a background run; ``entry`` is the registry entry of
-    the new model (``None`` when no registry is attached), ``error`` the
-    exception that aborted the run (``None`` on success), ``rejected``
-    whether the canary gate turned the trained candidate away (the model
-    was neither registered nor swapped; the incumbent keeps serving).
-    """
-
-    def __init__(self) -> None:
-        self.entry = None
-        self.model: DuetModel | None = None
-        self.data_version: int | None = None
-        self.error: Exception | None = None
-        self.rejected = False
-        self._done = threading.Event()
-        self._thread: threading.Thread | None = None
-
-    @property
-    def done(self) -> bool:
-        return self._done.is_set()
-
-    @property
-    def ok(self) -> bool:
-        return self.done and self.error is None and not self.rejected
-
-    def wait(self, timeout: float | None = None) -> bool:
-        return self._done.wait(timeout)
+__all__ = ["cold_train_and_swap", "start_cold_train"]
 
 
 def cold_train_and_swap(service, *, epochs: int | None = None,
                         training_workload=None, config=None,
                         throttle=None, version: str | None = None,
-                        result: ColdTrainResult | None = None,
-                        gate=None) -> ColdTrainResult:
-    """Train a fresh model on the store's current snapshot and swap it in.
+                        gate=None) -> TuneOutcome:
+    """Train a fresh model on the store's current snapshot and commit it.
 
     Runs synchronously on the calling thread (the scheduler calls it from a
     background thread via :func:`start_cold_train`).  The served model is
-    untouched until the final :meth:`~EstimationService.swap_model`, so
-    serving never sees a half-trained model; a failure leaves the service
-    exactly as it was and is reported on the returned result instead of
-    raised, matching the controller's never-crash-serving contract.
-
-    ``gate`` is the canary hook: called with the trained candidate before
-    it is registered or swapped; returning falsy marks the result
-    ``rejected`` and leaves service and registry untouched.  When the swap
-    itself fails after registration, the just-saved version is discarded
-    again so a never-served model cannot become the registry's protected
-    "latest".
+    untouched until the commit's install, so serving never sees a
+    half-trained model.  ``gate`` is the canary hook the commit consults.
+    Never raises: a failure leaves the service exactly as it was and comes
+    back as a ``failed`` outcome, matching the controller's
+    never-crash-serving contract.
     """
-    result = result or ColdTrainResult()
     try:
         if service.store is None:
             raise RuntimeError("cold_train_and_swap needs a service with a "
                                "live ColumnStore")
         snapshot = service.store.snapshot()
-        served = getattr(service.estimator, "model", None)
         if config is None:
+            served = getattr(service.estimator, "model", None)
             if served is None:
                 raise RuntimeError(
                     f"estimator {service.estimator.name!r} has no model to "
                     f"take an architecture config from; pass config=...")
             config = served.config
         model = DuetModel(snapshot, config)
-        trainer = DuetTrainer(model, snapshot, training_workload, config,
-                              throttle=throttle)
-        trainer.train(epochs)
-        result.model = model
-        result.data_version = snapshot.data_version
-        if gate is not None and not gate(model):
-            result.rejected = True
-            return result
-        entry = None
-        if service.registry is not None:
-            entry = service.registry.save(
-                model, service.dataset, version=version,
-                metadata={"cold_trained": True,
-                          "escalated_from": service.model_version},
-                compile_options=getattr(service.estimator, "compile_options",
-                                        None),
-                data_version=snapshot.data_version)
-        try:
-            service.swap_model(model, data_version=snapshot.data_version,
-                               model_version=entry.version if entry else None)
-        except Exception:
-            if entry is not None:
-                service.registry.discard(entry.dataset, entry.version)
-            raise
-        result.entry = entry
+        DuetTrainer(model, snapshot, training_workload, config,
+                    throttle=throttle).train(epochs)
+        return service.commit(
+            model, snapshot.data_version, gate=gate, version=version,
+            metadata={"cold_trained": True,
+                      "escalated_from": service.model_version})
     except Exception as error:  # noqa: BLE001 — reported, never raised into serving
-        result.error = error
-    finally:
-        result._done.set()
-    return result
+        return TuneOutcome("failed", error=error)
 
 
-def start_cold_train(service, *, epochs: int | None = None,
-                     training_workload=None, config=None, throttle=None,
-                     version: str | None = None, gate=None) -> ColdTrainResult:
-    """Run :func:`cold_train_and_swap` on a daemon thread; returns its handle."""
-    result = ColdTrainResult()
-    thread = threading.Thread(
-        target=cold_train_and_swap,
-        kwargs=dict(service=service, epochs=epochs,
-                    training_workload=training_workload, config=config,
-                    throttle=throttle, version=version, result=result,
-                    gate=gate),
-        name="repro-cold-train", daemon=True)
-    result._thread = thread
-    thread.start()
-    return result
+def start_cold_train(service, **kwargs) -> "Future[TuneOutcome]":
+    """Run :func:`cold_train_and_swap` on a daemon thread; returns its future.
+
+    ``kwargs`` are :func:`cold_train_and_swap`'s keyword arguments.
+    """
+    future: Future = Future()
+
+    def run() -> None:
+        try:
+            future.set_result(cold_train_and_swap(service, **kwargs))
+        except BaseException as error:  # interrupt/exit: resolve, then re-raise
+            future.set_exception(error)
+            raise
+
+    threading.Thread(target=run, name="repro-cold-train", daemon=True).start()
+    return future

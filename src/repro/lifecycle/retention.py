@@ -51,7 +51,7 @@ class RetentionPolicy:
                 service.dataset, keep=policy.keep_model_versions,
                 protect=protect))
         trimmed = 0
-        if policy.trim_store_versions and service.store is not None:
+        if service.store is not None:
             # The served data_version is held as a plain int (a registry
             # load carries no Snapshot), which the store's weak-reference
             # liveness tracking cannot see — pin it explicitly so staleness

@@ -1,59 +1,60 @@
 """The refresh scheduler: a daemon-thread policy loop over one service.
 
-This is the autonomous half of the paper's operational claim.  PR 3 made
-models *refreshable* (``EstimationService.refresh()``); this loop makes them
-*refreshed*: it periodically asks the :class:`DriftMonitor` for a
-:class:`~repro.lifecycle.RefreshDecision` and acts on it, with the guard
-rails a production control plane needs:
+:meth:`EstimationService.tune` makes models *refreshable*; this loop makes
+them *refreshed*.  Each poll settles a finished background cold train,
+compacts a tombstone-heavy store (:class:`~repro.lifecycle.CompactionPolicy`),
+or asks the :class:`DriftMonitor` for a :class:`RefreshDecision`; a positive
+decision that holds for ``debounce_polls`` polls starts a fine-tune.  A
+fine-tune failing with :class:`~repro.data.DomainGrowthError`, and every
+compaction, escalates to a background cold train
+(:mod:`repro.lifecycle.coldtrain`).  Every candidate passes the
+:class:`~repro.lifecycle.ShadowEvaluator`'s canary gate before it may swap.
 
-* **debounce** — a positive decision must hold for ``debounce_polls``
-  consecutive evaluations before a tune starts, so an append burst is
-  absorbed by one tune at the end instead of one per batch;
-* **cooldown** — at least ``cooldown_seconds`` between controller-initiated
-  tunes, bounding training cost under sustained churn;
-* **backpressure** — at most one tune is ever in flight (fine-tune *or*
-  cold train), and the tuning loop yields to serving threads in bounded
-  batch slices (:attr:`LifecyclePolicy.tune_slice_batches` /
-  :attr:`~LifecyclePolicy.tune_yield_seconds`);
-* **escalation** — a refresh failing with
-  :class:`~repro.data.DomainGrowthError` launches a background cold train
-  (:mod:`repro.lifecycle.coldtrain`) that swaps atomically when ready, so
-  domain growth degrades to eventual freshness instead of an exception;
-* **retention** — after every successful tune the
-  :class:`~repro.lifecycle.RetentionPolicy` prunes superseded registry
-  versions and trims unreachable store version metadata;
-* **compaction** — when deletes push the store's tombstone fraction past
-  :attr:`LifecyclePolicy.compact_tombstone_fraction`, the
-  :class:`~repro.lifecycle.CompactionPolicy` rewrites the chunks to drop
-  dead rows and escalates to the same background cold-train/swap path
-  (deltas cannot span a compaction, and a clean retrain erases the
-  approximation negative-replay fine-tuning accumulates);
-* **canary gating** — every candidate the loop produces (fine-tune or cold
-  train) is shadow-evaluated by the :class:`~repro.lifecycle.ShadowEvaluator`
-  against the drift probe set before it may swap in; a candidate whose probe
-  median Q-Error is worse than ``canary_margin`` times the incumbent's is
-  rejected (``canary_reject`` event) and the incumbent keeps serving;
-* **failure backoff & circuit breaker** — a failed refresh / cold train /
-  compaction parks the tune path for an exponentially growing
-  ``failure_backoff_seconds`` window instead of consuming the success
-  cooldown; ``breaker_failure_threshold`` *consecutive* failures open a
-  circuit breaker that refuses all tuning until ``breaker_cooldown_seconds``
-  pass, then half-opens for a single trial (success closes it, failure
-  re-opens).  Every transition is a ``breaker`` event.
+**One tune path.**  Every tune attempt — fine-tune, cold train, compaction
+escalation — ends in one :class:`~repro.serving.TuneOutcome`, and one settle
+step maps it to its events and to the time before which the next attempt
+may not start:
 
-Every step is recorded in the :class:`~repro.lifecycle.EventLog`; nothing
-the loop does can raise into (or block) the serving path.
+* ``swapped`` logs a ``refresh`` / ``cold_train`` event, rebases the drift
+  baseline, runs the :class:`~repro.lifecycle.RetentionPolicy`, closes the
+  circuit breaker and starts the ``cooldown_seconds`` cooldown;
+* ``rejected`` (the gate already logged ``canary_reject``) and ``noop``
+  (``refresh_noop``: an accuracy trigger with nothing churned) swap nothing,
+  but start the cooldown too;
+* ``failed`` logs an ``error`` and parks the tune path for an exponential
+  ``failure_backoff_seconds`` window instead: a failed tune never consumes
+  the success cooldown.  ``breaker_failure_threshold`` consecutive failures
+  open a circuit breaker that refuses every attempt for
+  ``breaker_cooldown_seconds``, then half-opens for one trial (success
+  closes it, failure re-opens it).  Each transition is a ``breaker`` event.
+
+**One admission rule.**  The decision path and the compaction check both
+ask :meth:`RefreshScheduler._admit`: refused while the breaker is open or
+before the not-before time (labelled ``cooldown`` or ``backoff`` by what
+set it), and otherwise only if the tune lock is free — at most one tune is
+ever in flight, and the tuning loop yields to serving threads in bounded
+batch slices (``tune_slice_batches`` / ``tune_yield_seconds``).
+
+:meth:`EstimationService.refresh` stays the manual entry point: it runs the
+same :meth:`~EstimationService.tune`, raises a ``failed`` outcome's error,
+and returns the new registry entry (``None`` for a no-op, a rejection, or a
+service without a registry).  Every step lands in the
+:class:`~repro.lifecycle.EventLog`; nothing the loop does can raise into (or
+block) the serving path.
 """
 
 from __future__ import annotations
 
 import threading
 import time
+from concurrent.futures import Future, wait
+from functools import partial
 
 from ..core.config import LifecyclePolicy
 from ..data.store import DomainGrowthError
 from ..obs import MetricsRegistry
-from .coldtrain import ColdTrainResult, start_cold_train
+from ..serving.service import TuneOutcome
+from .coldtrain import start_cold_train
 from .compaction import CompactionPolicy
 from .events import EventLog, LifecycleEvent
 from .monitor import DriftMonitor, RefreshDecision
@@ -95,20 +96,22 @@ class RefreshScheduler:
         self._stop = threading.Event()
         # Backpressure: holders of this lock are "the one tune in flight".
         self._tune_lock = threading.Lock()
-        self._cold_train: ColdTrainResult | None = None
+        self._cold_train: Future | None = None
         # Serialises cold-train finalisation between the loop thread and
         # quiesce() callers, so the outcome is folded in exactly once.
         self._finalise_lock = threading.Lock()
         self._consecutive_hits = 0
-        self._last_tune_at: float | None = None
         self.shadow = ShadowEvaluator(self.monitor, self.policy)
         # Chaos seam: tests/soak drivers install a FaultInjector here; the
         # throttle closure fires it at site "trainer.step".
         self.fault_injector = None
-        self._consecutive_failures = 0
-        self._backoff_until: float | None = None
+        # Admission state: the breaker, plus one monotonic not-before time
+        # for the next tune and what set it ("cooldown" | "backoff").  An
+        # open breaker half-opens once the not-before time passes.
         self._breaker_state = "closed"  # closed | open | half_open
-        self._breaker_opened_at: float | None = None
+        self._next_tune_at = float("-inf")
+        self._parked_by = "cooldown"
+        self._consecutive_failures = 0
         self._register_instruments()
 
     def _register_instruments(self) -> None:
@@ -130,22 +133,19 @@ class RefreshScheduler:
             "repro_canary_last_ratio",
             "Last canary verdict's candidate/incumbent probe median "
             "Q-Error ratio (<= margin passes; 0 until a canary runs).").labels()
-        metrics.gauge(
-            "repro_store_physical_rows",
-            "Physical rows in the live store (incl. tombstoned).",
-            fn=lambda: self._store_stat("physical_rows"))
-        metrics.gauge(
-            "repro_store_live_rows",
-            "Live (non-tombstoned) rows in the store.",
-            fn=lambda: self._store_stat("num_rows"))
-        metrics.gauge(
-            "repro_store_tombstone_fraction",
-            "Dead-row fraction of the store (compaction trigger input).",
-            fn=lambda: self._store_stat("tombstone_fraction"))
-        metrics.gauge(
-            "repro_store_data_version",
-            "Current data version of the live store.",
-            fn=lambda: self._store_stat("data_version"))
+        for name, help_text, attribute in (
+                ("repro_store_physical_rows",
+                 "Physical rows in the live store (incl. tombstoned).",
+                 "physical_rows"),
+                ("repro_store_live_rows",
+                 "Live (non-tombstoned) rows in the store.", "num_rows"),
+                ("repro_store_tombstone_fraction",
+                 "Dead-row fraction of the store (compaction trigger input).",
+                 "tombstone_fraction"),
+                ("repro_store_data_version",
+                 "Current data version of the live store.", "data_version")):
+            metrics.gauge(name, help_text,
+                          fn=partial(self._store_stat, attribute))
         metrics.gauge(
             "repro_registry_model_versions",
             "Model versions the registry currently retains for this dataset.",
@@ -218,183 +218,142 @@ class RefreshScheduler:
                 return compacted
             decision = self.monitor.decide()
             action = self._action_for(decision)
-            event = self.events.record(
-                "decision", action=action, reasons=list(decision.reasons),
-                stale_rows=decision.metrics.stale_rows,
-                stale_fraction=round(decision.metrics.stale_fraction, 4),
-                median_qerror=decision.metrics.median_qerror,
-                probe_size=decision.metrics.probe_size)
-            if action == "tune":
-                self._execute(decision)
+            try:
+                event = self.events.record(
+                    "decision", action=action, reasons=list(decision.reasons),
+                    stale_rows=decision.metrics.stale_rows,
+                    stale_fraction=round(decision.metrics.stale_fraction, 4),
+                    median_qerror=decision.metrics.median_qerror,
+                    probe_size=decision.metrics.probe_size)
+                if action == "tune":
+                    self._execute(decision)
+            finally:
+                if action == "tune":
+                    self._tune_lock.release()
             return event
         finally:
             self._poll_seconds.observe(time.perf_counter() - poll_started)
 
     def _action_for(self, decision: RefreshDecision) -> str:
+        """Debounce, then admit; ``"tune"`` leaves the tune lock held."""
         if not decision:
             self._consecutive_hits = 0
             return "hold"
         self._consecutive_hits += 1
         if self._consecutive_hits < self.policy.debounce_polls:
             return "debounce"
-        if self._breaker_state == "open":
-            return "breaker_open"
-        if self._in_backoff():
-            return "backoff"
-        if self._in_cooldown():
-            return "cooldown"
-        return "tune"
-
-    def _in_cooldown(self) -> bool:
-        return (self._last_tune_at is not None
-                and time.monotonic() - self._last_tune_at
-                < self.policy.cooldown_seconds)
+        return self._admit() or "tune"
 
     # ------------------------------------------------------------------
-    # Failure accounting: backoff + circuit breaker
+    # Admission: breaker + one not-before time + the tune lock
     # ------------------------------------------------------------------
     @property
     def breaker_state(self) -> str:
         """Circuit-breaker state: ``closed`` | ``open`` | ``half_open``."""
         return self._breaker_state
 
-    def _in_backoff(self) -> bool:
-        return (self._backoff_until is not None
-                and time.monotonic() < self._backoff_until)
+    @property
+    def parked(self) -> str | None:
+        """Why no tune may start now (``breaker_open``, ``backoff``,
+        ``cooldown``), or ``None`` when one may."""
+        if self._breaker_state == "open":
+            return "breaker_open"
+        if time.monotonic() < self._next_tune_at:
+            return self._parked_by
+        return None
+
+    def _admit(self) -> str | None:
+        """The one admission rule; ``None`` admits and holds the tune lock.
+
+        Otherwise returns the reason the attempt is refused: :attr:`parked`,
+        or ``busy`` while another tune holds the lock.
+        """
+        reason = self.parked
+        if reason is None and not self._tune_lock.acquire(blocking=False):
+            reason = "busy"
+        return reason
+
+    def _park(self, reason: str, seconds: float) -> None:
+        self._next_tune_at = time.monotonic() + seconds
+        self._parked_by = reason
+
+    def _set_breaker(self, state: str, **details) -> None:
+        self._breaker_state = state
+        self._breaker_gauge.set(BREAKER_STATE_LEVELS[state])
+        self.events.record("breaker", state=state, **details)
 
     def _breaker_poll(self) -> None:
         """Half-open an expired breaker so the next decision may trial-tune."""
         if (self._breaker_state == "open"
-                and self._breaker_opened_at is not None
-                and time.monotonic() - self._breaker_opened_at
-                >= self.policy.breaker_cooldown_seconds):
-            self._breaker_state = "half_open"
-            self._breaker_gauge.set(BREAKER_STATE_LEVELS["half_open"])
-            self.events.record("breaker", state="half_open",
-                               consecutive_failures=self._consecutive_failures)
+                and time.monotonic() >= self._next_tune_at):
+            self._set_breaker("half_open",
+                              consecutive_failures=self._consecutive_failures)
 
     def _note_failure(self, stage: str) -> None:
-        """Fold one tune-path failure into backoff and breaker state.
+        """Fold one failed attempt into backoff and breaker state.
 
-        Failures deliberately do *not* touch ``_last_tune_at``: the success
-        cooldown spaces out training *cost*, while this path spaces out
-        *retries* — a failed tune that consumed the cooldown would delay the
-        recovery it never earned.
+        Parks the tune path for the backoff (or, when the breaker opens,
+        its cooldown if longer) without starting the success cooldown: the
+        cooldown spaces out training *cost*, the backoff spaces out
+        *retries*, and a failed tune that consumed the cooldown would delay
+        the recovery it never earned.
         """
         policy = self.policy
         self._consecutive_failures += 1
-        if policy.failure_backoff_seconds > 0:
-            delay = min(policy.failure_backoff_seconds
-                        * 2 ** (self._consecutive_failures - 1),
-                        policy.failure_backoff_max_seconds)
-            self._backoff_until = time.monotonic() + delay
+        delay = min(policy.failure_backoff_seconds
+                    * 2 ** (self._consecutive_failures - 1),
+                    policy.failure_backoff_max_seconds)
         threshold = policy.breaker_failure_threshold
-        opens = (self._breaker_state == "half_open"
-                 or (self._breaker_state == "closed" and threshold is not None
-                     and self._consecutive_failures >= threshold))
-        if opens:
-            self._breaker_state = "open"
-            self._breaker_opened_at = time.monotonic()
-            self._breaker_gauge.set(BREAKER_STATE_LEVELS["open"])
-            self.events.record(
-                "breaker", state="open", stage=stage,
-                consecutive_failures=self._consecutive_failures,
-                cooldown_seconds=self.policy.breaker_cooldown_seconds)
-
-    def _note_success(self) -> None:
-        """A tune landed: clear failure state, close the breaker, start cooldown."""
-        if self._breaker_state != "closed":
-            self._breaker_state = "closed"
-            self._breaker_opened_at = None
-            self._breaker_gauge.set(BREAKER_STATE_LEVELS["closed"])
-            self.events.record("breaker", state="closed")
-        self._consecutive_failures = 0
-        self._backoff_until = None
-        self._last_tune_at = time.monotonic()
+        if (self._breaker_state == "half_open"
+                or (self._breaker_state == "closed" and threshold is not None
+                    and self._consecutive_failures >= threshold)):
+            delay = max(delay, policy.breaker_cooldown_seconds)
+            self._set_breaker("open", stage=stage,
+                              consecutive_failures=self._consecutive_failures,
+                              cooldown_seconds=policy.breaker_cooldown_seconds)
+        self._park("backoff", delay)
 
     # ------------------------------------------------------------------
-    # Acting on a decision
+    # Tune attempts and their one settle step
     # ------------------------------------------------------------------
     def _execute(self, decision: RefreshDecision) -> None:
-        if not self._tune_lock.acquire(blocking=False):
-            return  # another tune is in flight; the next poll re-evaluates
+        """Fine-tune (the caller holds the tune lock) and settle the outcome."""
         started = time.perf_counter()
         try:
-            swaps_before = self.service.snapshot().model_swaps
-            rejected: list = []
             try:
-                entry = self.service.refresh(
+                outcome = self.service.tune(
                     epochs=self.policy.refresh_epochs,
                     throttle=self._make_throttle(),
-                    gate=self._canary_gate("refresh", rejected))
-            except DomainGrowthError as error:
-                if not self.policy.cold_train_on_growth:
-                    self.events.record("error", stage="refresh",
-                                       error=repr(error))
-                    self._note_failure("refresh")
-                    return
-                self._cold_train = start_cold_train(
-                    self.service, epochs=self.policy.cold_train_epochs,
-                    throttle=self._make_throttle(),
-                    gate=self._canary_gate("cold_train"))
-                self.events.record("cold_train", status="started",
-                                   grown_columns=list(error.columns))
-                return
+                    gate=self._canary_gate("refresh"))
             except Exception as error:  # noqa: BLE001 — log, keep serving
-                self.events.record("error", stage="refresh", error=repr(error))
-                self._note_failure("refresh")
-                return
-            if rejected:
-                # Canary turned the candidate away: not a fault (backoff
-                # would punish a control plane doing its job), but the tune
-                # burned real cycles, so the success cooldown still applies.
-                self._last_tune_at = time.monotonic()
-                return
-            # refresh() returns None both for "tuned, no registry" and for
-            # "nothing to do" (the triggers can fire on pure accuracy decay
-            # with zero staleness); only a real swap earns a refresh event,
-            # a rebased baseline, and a retention sweep.
-            if (entry is None
-                    and self.service.snapshot().model_swaps == swaps_before):
-                self.events.record("decision", action="refresh_noop",
-                                   reasons=list(decision.reasons))
-                self._last_tune_at = time.monotonic()
-                return
-            self.events.record(
-                "refresh", reasons=list(decision.reasons),
-                version=entry.version if entry is not None
-                else self.service.model_version,
-                data_version=self.service.data_version,
-                seconds=round(time.perf_counter() - started, 3))
-            self._after_tune()
-            self._note_success()
+                outcome = TuneOutcome("failed", error=error)
+            if (isinstance(outcome.error, DomainGrowthError)
+                    and self.policy.cold_train_on_growth):
+                self._escalate(grown_columns=list(outcome.error.columns))
+            else:
+                self._settle(outcome, "refresh",
+                             reasons=list(decision.reasons),
+                             seconds=round(time.perf_counter() - started, 3))
         finally:
             self._tune_seconds.observe(time.perf_counter() - started,
                                        stage="refresh")
             self._consecutive_hits = 0
-            self._tune_lock.release()
 
     def _maybe_compact(self) -> LifecycleEvent | None:
         """Compact a tombstone-heavy store and escalate; ``None`` when idle.
 
         Compaction is cheap but the cold train it escalates to is not, so
-        the check respects the tune cooldown, the failure backoff/breaker,
-        and the at-most-one-tune rule (the tombstone fraction persists, so a
-        skipped opportunity simply fires on a later poll).  Like every
-        scheduler action it is error-contained: a failure is logged, feeds
-        the failure backoff, and serving continues against the uncompacted
-        store.
+        it goes through the same admission as a tune (the tombstone
+        fraction persists, so a refused opportunity simply fires on a later
+        poll).  A compaction failure settles like a failed tune, and
+        serving continues against the uncompacted store.
         """
         if not self.compaction.should_compact(getattr(self.service, "store",
                                                       None)):
             return None
-        if self._breaker_state == "open" or self._in_backoff():
+        if self._admit() is not None:
             return None
-        if self._in_cooldown():
-            return None
-        if not self._tune_lock.acquire(blocking=False):
-            return None
-        compact_started = time.perf_counter()
+        started = time.perf_counter()
         try:
             report = self.compaction.compact(self.service)
             event = self.events.record(
@@ -402,61 +361,87 @@ class RefreshScheduler:
                 tombstone_fraction=round(report.tombstone_fraction, 4),
                 dropped_rows=report.dropped_rows,
                 data_version=report.data_version)
-            self._last_tune_at = time.monotonic()
             # The served model's delta base predates the new chunk layout:
             # fine-tuning can no longer see what changed, so go straight to
-            # the background cold-train/swap path.
-            self._cold_train = start_cold_train(
-                self.service, epochs=self.policy.cold_train_epochs,
-                throttle=self._make_throttle(),
-                gate=self._canary_gate("cold_train"))
-            self.events.record("cold_train", status="started",
-                               reason="compaction")
+            # the background cold train.
+            self._escalate(reason="compaction")
             return event
         except Exception as error:  # noqa: BLE001 — log, keep serving
-            self._note_failure("compaction")
-            return self.events.record("error", stage="compaction",
-                                      error=repr(error))
+            return self._settle(TuneOutcome("failed", error=error),
+                                "compaction")
         finally:
-            self._tune_seconds.observe(time.perf_counter() - compact_started,
+            self._tune_seconds.observe(time.perf_counter() - started,
                                        stage="compaction")
             self._tune_lock.release()
 
+    def _escalate(self, **details) -> None:
+        """Start the background cold train; it settles on a later poll."""
+        self.events.record("cold_train", status="started", **details)
+        self._cold_train = start_cold_train(
+            self.service, epochs=self.policy.cold_train_epochs,
+            throttle=self._make_throttle(),
+            gate=self._canary_gate("cold_train"))
+
     def _finalise_cold_train(self) -> LifecycleEvent | None:
-        """Bookkeeping for an in-flight escalation; ``None`` when idle.
+        """Settle a finished escalation; ``None`` when none is in flight.
 
         While a cold train runs, polling reports instead of tuning (the
-        at-most-one-tune rule); once it lands, record the outcome, rebase
-        the drift baseline onto the new model, and run retention.
+        at-most-one-tune rule).
         """
         with self._finalise_lock:
             pending = self._cold_train
             if pending is None:
                 return None
-            if not pending.done:
-                return self.events.record("decision", action="cold_train_pending")
+            if not pending.done():
+                return self.events.record("decision",
+                                          action="cold_train_pending")
             self._cold_train = None
-        if pending.error is not None:
-            self._note_failure("cold_train")
-            return self.events.record("error", stage="cold_train",
-                                      error=repr(pending.error))
-        if pending.rejected:
-            # The canary already recorded its canary_reject; the incumbent
-            # keeps serving, and the wasted training cost starts a cooldown.
-            self._last_tune_at = time.monotonic()
-            return self.events.record("cold_train", status="rejected",
-                                      data_version=pending.data_version)
-        event = self.events.record(
-            "cold_train", status="swapped",
-            version=pending.entry.version if pending.entry is not None
-            else self.service.model_version,
-            data_version=pending.data_version)
-        self._after_tune()
-        self._note_success()
+        return self._settle(pending.result(), "cold_train")
+
+    def _settle(self, outcome: TuneOutcome, stage: str, **details
+                ) -> LifecycleEvent | None:
+        """Map one finished tune attempt to its events and next not-before.
+
+        ``stage`` is ``refresh``, ``cold_train`` or ``compaction``;
+        ``details`` (the decision's reasons and the tune's duration) go on
+        a fine-tune's ``refresh`` event.  A rejection's ``canary_reject``
+        was already logged by the gate.
+        """
+        if outcome.status == "failed":
+            event = self.events.record("error", stage=stage,
+                                       error=repr(outcome.error))
+            self._note_failure(stage)
+            return event
+        event = None
+        if outcome.status == "swapped":
+            version = (outcome.entry.version if outcome.entry is not None
+                       else self.service.model_version)
+            if stage == "refresh":
+                event = self.events.record(
+                    "refresh", reasons=details["reasons"], version=version,
+                    data_version=outcome.data_version,
+                    seconds=details["seconds"])
+            else:
+                event = self.events.record(
+                    "cold_train", status="swapped", version=version,
+                    data_version=outcome.data_version)
+            self._after_tune()
+            if self._breaker_state != "closed":
+                self._set_breaker("closed")
+            self._consecutive_failures = 0
+        elif stage == "cold_train":
+            event = self.events.record("cold_train", status=outcome.status,
+                                       data_version=outcome.data_version)
+        elif outcome.status == "noop":
+            # The accuracy triggers can fire with zero staleness; only a
+            # real swap earns a refresh event, a rebase and retention.
+            event = self.events.record("decision", action="refresh_noop",
+                                       reasons=details["reasons"])
+        self._park("cooldown", self.policy.cooldown_seconds)
         return event
 
     def _after_tune(self) -> None:
-        """Post-tune hygiene: rebase drift baseline, apply retention."""
+        """Post-swap hygiene: rebase drift baseline, apply retention."""
         try:
             baseline = self.monitor.rebase()
         except Exception as error:  # noqa: BLE001 — log, keep serving
@@ -469,15 +454,14 @@ class RefreshScheduler:
             trimmed_store_versions=report.trimmed_store_versions,
             baseline_qerror=baseline)
 
-    def _canary_gate(self, stage: str, rejected: list | None = None):
+    def _canary_gate(self, stage: str):
         """Build the shadow-evaluation gate for one tune attempt.
 
         Returns ``None`` when canary gating is disabled
         (``canary_margin=None``).  The gate records a ``canary_pass`` /
-        ``canary_reject`` event per verdict and appends reject reports to
-        ``rejected`` (the caller's box for telling a rejection apart from a
-        no-op).  An evaluation *error* fails open — a broken canary must not
-        be able to park refreshes forever — but is logged.
+        ``canary_reject`` event per verdict.  An evaluation *error* fails
+        open — a broken canary must not be able to park refreshes forever —
+        but is logged.
         """
         shadow = getattr(self, "shadow", None)
         if shadow is None or not shadow.enabled:
@@ -500,8 +484,6 @@ class RefreshScheduler:
                     and report.incumbent_median):
                 self._canary_gauge.set(report.candidate_median
                                        / report.incumbent_median)
-            if not report.passed and rejected is not None:
-                rejected.append(report)
             return report.passed
 
         return gate
@@ -536,10 +518,10 @@ class RefreshScheduler:
     # ------------------------------------------------------------------
     @property
     def cold_train_in_flight(self) -> bool:
-        return self._cold_train is not None and not self._cold_train.done
+        return self._cold_train is not None and not self._cold_train.done()
 
     def quiesce(self, timeout: float | None = None) -> bool:
-        """Wait for any in-flight cold train and fold its result in.
+        """Wait for any in-flight cold train and settle its outcome.
 
         Returns ``True`` when no escalation is pending afterwards.  Used by
         tests and soak drivers that need a deterministic "controller is
@@ -548,7 +530,7 @@ class RefreshScheduler:
         pending = self._cold_train
         if pending is None:
             return True
-        if not pending.wait(timeout):
+        if not wait([pending], timeout).done:
             return False
         self._finalise_cold_train()
         return True

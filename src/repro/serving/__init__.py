@@ -35,7 +35,7 @@ from .registry import (
     SchemaTable,
     TableSchema,
 )
-from .service import EstimationService
+from .service import EstimationService, TuneOutcome
 from .stats import ServiceStats, StatsSnapshot
 
 __all__ = [
@@ -50,6 +50,7 @@ __all__ = [
     "QueryKeyEncoder",
     "MicroBatcher",
     "EstimationService",
+    "TuneOutcome",
     "ServiceStats",
     "StatsSnapshot",
 ]

@@ -43,8 +43,9 @@ class MicroBatcher:
     ``runner`` receives a list of queries and returns ``(estimates, extra)``:
     one estimate per query (anything :func:`numpy.asarray` accepts) and a
     payload — the serving plan's per-stage timing breakdown — handed to each
-    request's ``on_batch`` callback.  Exceptions raised by the runner
-    propagate to every future of the affected batch.  Pass counts live in
+    request's ``on_batch`` callback.  When a pass over several requests
+    raises, each request is re-run alone, so the exception reaches only the
+    futures of the requests that raise it.  Pass counts live in
     the service's metrics (``repro_batches_total``, ``repro_batch_size``),
     not here.
     """
@@ -141,8 +142,11 @@ class MicroBatcher:
                 raise ValueError(
                     f"runner returned shape {estimates.shape} for a batch of {len(batch)}")
         except BaseException as error:  # noqa: BLE001 — forwarded to callers
-            for request in batch:
-                request.future.set_exception(error)
+            if len(batch) == 1:
+                batch[0].future.set_exception(error)
+            else:
+                for request in batch:
+                    self._run_batch([request])
             return
         for request, estimate in zip(batch, estimates):
             if request.on_batch is not None:

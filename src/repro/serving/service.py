@@ -20,17 +20,23 @@ When the underlying data is mutable (a :class:`~repro.data.ColumnStore`),
 the service also owns the staleness side of the lifecycle: it knows which
 ``data_version`` the served model was trained on, reports how many rows have
 been appended since (:meth:`EstimationService.staleness`), and can
-:meth:`~EstimationService.refresh` itself — incremental fine-tune on the
+:meth:`~EstimationService.tune` itself — incremental fine-tune on the
 delta, re-register the model, hot-swap the compiled plan, and flush the
 estimate cache, all while the old plan keeps serving traffic.  A plan owns
 its weights, codec and row count, so the swap is one attribute assignment
 and no request ever sees a mix of two model versions.
+
+Every tune attempt — a fine-tune here, or a cold train from
+:mod:`repro.lifecycle` — ends in one :class:`TuneOutcome` and commits
+through one tail, :meth:`EstimationService.commit`: canary gate, registry
+save, install, and a rollback of the save when the install fails.
 """
 
 from __future__ import annotations
 
 import threading
 import time
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -48,7 +54,32 @@ from .cache import EstimateCache, QueryKeyEncoder
 from .registry import ModelRegistry, RegistryEntry
 from .stats import ServiceStats, StatsSnapshot
 
-__all__ = ["EstimationService"]
+__all__ = ["EstimationService", "TuneOutcome"]
+
+
+@dataclass(frozen=True)
+class TuneOutcome:
+    """How one tune attempt ended.
+
+    ``status`` is one of
+
+    * ``noop`` — nothing churned since the served ``data_version``, so
+      nothing was trained;
+    * ``rejected`` — the canary gate turned the trained candidate away:
+      nothing was saved or swapped, the incumbent keeps serving;
+    * ``swapped`` — the candidate serves now;
+    * ``failed`` — ``error`` aborted the attempt; the incumbent keeps
+      serving.
+
+    ``entry`` is the swapped-in model's registry entry (``None`` without a
+    registry) and ``data_version`` the store version the candidate was
+    trained on.
+    """
+
+    status: str
+    entry: RegistryEntry | None = None
+    data_version: int | None = None
+    error: Exception | None = None
 
 
 class EstimationService:
@@ -98,7 +129,9 @@ class EstimationService:
         self.metrics.gauge("repro_plan_buffer_bytes",
                            "Reusable buffer footprint of the serving plan.",
                            fn=lambda: self._plan.buffer_bytes)
-        self._refresh_lock = threading.Lock()
+        # Re-entrant: tune() holds it across the fine-tune and commit() takes
+        # it again around the install.
+        self._refresh_lock = threading.RLock()
         self._observers: tuple = ()
         self._observer_lock = threading.Lock()
         self._batcher: MicroBatcher | None = None
@@ -309,97 +342,126 @@ class EstimationService:
                 replay_fraction: float | None = None,
                 version: str | None = None,
                 throttle=None, gate=None) -> RegistryEntry | None:
-        """Absorb churned data: fine-tune, re-register, hot-swap, invalidate.
+        """:meth:`tune`, raising its error; returns the new registry entry.
+
+        ``None`` when nothing churned, when the gate rejected the candidate,
+        or when no registry is attached.  Raises what aborted the tune —
+        :class:`~repro.data.DomainGrowthError` when an append grew a
+        column's domain (that needs a cold train, which no amount of
+        fine-tuning can replace).
+        """
+        outcome = self.tune(epochs=epochs, replay_fraction=replay_fraction,
+                            version=version, throttle=throttle, gate=gate)
+        if outcome.error is not None:
+            raise outcome.error
+        return outcome.entry
+
+    def tune(self, *, epochs: int | None = None,
+             replay_fraction: float | None = None,
+             version: str | None = None,
+             throttle=None, gate=None) -> TuneOutcome:
+        """Absorb churned data: fine-tune, then :meth:`commit` the candidate.
 
         Runs :meth:`DuetTrainer.fine_tune` over the delta between the served
         model's ``data_version`` and the store's current snapshot — appended
         rows trained on directly, removed rows replayed as negatives.  The
         fine-tune happens on a parameter *clone*, so concurrent traffic
-        keeps reading the untouched serving plan; when a registry is
-        attached the tuned model is registered under a new version carrying
-        the new ``data_version``, and then :meth:`_install` builds its plan
-        and swaps it in, re-keying and flushing the estimate cache.
+        keeps reading the untouched serving plan.
 
         ``throttle`` is passed through to the fine-tuning loop (called after
         every optimiser step); the lifecycle scheduler uses it to make the
-        tune yield to serving threads in bounded batch slices.
+        tune yield to serving threads in bounded batch slices.  ``gate`` is
+        the canary hook :meth:`commit` consults.
 
-        ``gate`` is the canary hook: a callable receiving the fine-tuned
-        candidate model *before* it is registered or installed.  Returning
-        falsy rejects the candidate — nothing is saved, nothing swaps, the
-        incumbent keeps serving, and ``refresh`` returns ``None``.  The
-        lifecycle scheduler passes a shadow evaluation over the drift
-        monitor's probe set here.
-
-        Returns the new :class:`RegistryEntry` (``None`` when nothing
-        churned, when the gate rejected the candidate, or when no registry
-        is attached).  Raises
-        :class:`~repro.data.DomainGrowthError` when an append grew a
-        column's domain — that case needs a cold train, which no amount of
-        fine-tuning can replace.
+        Never raises: an error — a missing store or model, a
+        :class:`~repro.data.DomainGrowthError`, a training or registry
+        fault — comes back as a ``failed`` outcome.
         """
-        if self.store is None:
-            raise RuntimeError(
-                "refresh() needs a live ColumnStore; construct the service "
-                "with store=... (or an estimator over a Snapshot)")
-        model = getattr(self.estimator, "model", None)
-        if model is None:
-            raise RuntimeError(
-                f"estimator {self.estimator.name!r} has no trainable model; "
-                f"refresh() supports Duet estimators")
-        # Fast path: nothing churned (appended *or* deleted) since the
-        # served data_version — skip the snapshot/delta materialisation, the
-        # pointless fine-tune, and (crucially) the cache flush that would
-        # evict perfectly valid entries.  Raced mutations are caught again
-        # under the lock below.
-        if self.staleness() == 0:
-            return None
+        try:
+            if self.store is None:
+                raise RuntimeError(
+                    "tuning needs a live ColumnStore; construct the "
+                    "service with store=... (or an estimator over a Snapshot)")
+            model = getattr(self.estimator, "model", None)
+            if model is None:
+                raise RuntimeError(
+                    f"estimator {self.estimator.name!r} has no trainable "
+                    f"model; tuning supports Duet estimators")
+            # Fast path: nothing churned (appended *or* deleted) since the
+            # served data_version — skip the snapshot/delta materialisation,
+            # the pointless fine-tune, and (crucially) the cache flush that
+            # would evict perfectly valid entries.  Raced mutations are
+            # caught again under the lock below.
+            if self.staleness() == 0:
+                return TuneOutcome("noop", data_version=self.data_version)
+            with self._refresh_lock:
+                snapshot = self.store.snapshot()
+                delta = self.store.delta(self.data_version or 0)
+                if delta.churned_rows == 0 and not delta.domains_grew:
+                    return TuneOutcome("noop", data_version=self.data_version)
+                # Tune a clone so in-flight requests keep reading the
+                # original weights; clone() raises the typed
+                # DomainGrowthError when the append grew a domain.
+                tuned = model.clone(snapshot)
+                DuetTrainer.fine_tune(
+                    snapshot, tuned, delta,
+                    epochs=(epochs if epochs is not None
+                            else self.config.refresh_epochs),
+                    replay_fraction=(replay_fraction
+                                     if replay_fraction is not None
+                                     else self.config.replay_fraction),
+                    throttle=throttle)
+                return self.commit(
+                    tuned, snapshot.data_version, gate=gate, version=version,
+                    metadata={"fine_tuned_from": self.model_version,
+                              "base_data_version": delta.base_version})
+        except Exception as error:  # noqa: BLE001 — reported on the outcome
+            return TuneOutcome("failed", error=error)
+
+    def commit(self, model, data_version: int | None, *, gate=None,
+               version: str | None = None,
+               metadata: dict | None = None) -> TuneOutcome:
+        """The one commit tail of every tune: gate, save, install.
+
+        ``gate`` (the canary hook) receives the candidate before anything
+        is saved; returning falsy yields a ``rejected`` outcome and leaves
+        service and registry untouched.  With a registry attached the
+        candidate is saved under a new version carrying ``data_version``,
+        then :meth:`_install` swaps it in.  If the install fails the saved
+        version is discarded again — a registered-but-never-served version
+        must not become the manifest's protected "latest" — and the error
+        propagates.  Runs under ``_refresh_lock``, so commits and fine-tunes
+        never interleave.
+        """
         with self._refresh_lock:
-            snapshot = self.store.snapshot()
-            delta = self.store.delta(self.data_version or 0)
-            if delta.churned_rows == 0 and not delta.domains_grew:
-                return None
-            # Tune a clone so in-flight requests keep reading the original
-            # weights; clone() raises the typed DomainGrowthError when the
-            # append grew a domain.
-            tuned = model.clone(snapshot)
-            DuetTrainer.fine_tune(
-                snapshot, tuned, delta,
-                epochs=epochs if epochs is not None else self.config.refresh_epochs,
-                replay_fraction=(replay_fraction if replay_fraction is not None
-                                 else self.config.replay_fraction),
-                throttle=throttle)
-            if gate is not None and not gate(tuned):
-                return None
+            if gate is not None and not gate(model):
+                return TuneOutcome("rejected", data_version=data_version)
             entry = None
             if self.registry is not None:
                 entry = self.registry.save(
-                    tuned, self.dataset, version=version,
-                    metadata={"fine_tuned_from": self.model_version,
-                              "base_data_version": delta.base_version},
+                    model, self.dataset, version=version, metadata=metadata,
                     compile_options=self.estimator.compile_options,
-                    data_version=snapshot.data_version)
+                    data_version=data_version)
             try:
-                self._install(tuned, snapshot.data_version,
+                self._install(model, data_version,
                               entry.version if entry is not None else None)
             except Exception:
-                # A registered-but-never-installed version must not become
-                # the manifest's protected "latest" — roll the save back.
                 if entry is not None:
                     self.registry.discard(entry.dataset, entry.version)
                 raise
-            return entry
+            return TuneOutcome("swapped", entry=entry,
+                               data_version=data_version)
 
     def swap_model(self, model, *, data_version: int | None = None,
                    model_version: str | None = None) -> None:
         """Atomically make ``model`` the served model.
 
-        The cold-train escalation path: a model trained out-of-band (its
-        table may carry *grown* domains the old model could not absorb) is
-        swapped in exactly like a refresh result — its plan built while the
-        old one keeps serving, then made live by one attribute assignment,
-        cache re-keyed and flushed.  ``data_version`` defaults to the model
-        table's own version when it is a snapshot.
+        A model trained out-of-band (its table may carry *grown* domains
+        the old model could not absorb) is swapped in exactly like a tune
+        result, without a gate or a registry save — its plan built while
+        the old one keeps serving, then made live by one attribute
+        assignment, cache re-keyed and flushed.  ``data_version`` defaults
+        to the model table's own version when it is a snapshot.
         """
         with self._refresh_lock:
             if data_version is None:
@@ -408,7 +470,7 @@ class EstimationService:
 
     def _install(self, model, data_version: int | None,
                  model_version: str | None) -> None:
-        """Hot-swap tail shared by refresh() and swap_model().
+        """Hot-swap tail shared by commit() and swap_model().
 
         Caller holds ``_refresh_lock``.  The estimator is re-pointed first
         (requests never read it), then the new plan is built — one plan,

@@ -363,7 +363,7 @@ class TestRefreshScheduler:
             _append_in_domain(store, 120, seed=8)
             assert scheduler.poll_once().details["action"] == "cooldown"
             assert service.staleness() == 120
-            scheduler._last_tune_at = time.monotonic() - 121.0
+            scheduler._next_tune_at -= 121.0
             assert scheduler.poll_once().details["action"] == "tune"
             assert service.staleness() == 0
 
@@ -390,7 +390,7 @@ class TestRefreshScheduler:
         with _make_service(store, tmp_path) as service:
             scheduler = RefreshScheduler(service, EAGER)
             _append_in_domain(store, 120, seed=7)
-            monkeypatch.setattr(service, "refresh",
+            monkeypatch.setattr(service, "tune",
                                 lambda **kwargs: (_ for _ in ()).throw(
                                     RuntimeError("tune exploded")))
             scheduler.poll_once()  # must not raise
@@ -446,10 +446,10 @@ class TestColdTrainEscalation:
             workload = make_random_workload(store.snapshot(), num_queries=10,
                                             seed=3, label=False)
             _append_growing(store, 30, seed=5)
-            result = cold_train_and_swap(service, epochs=1)
-            assert result.ok and result.done
+            outcome = cold_train_and_swap(service, epochs=1)
+            assert outcome.status == "swapped"
             assert service.staleness() == 0
-            assert service.model_version == result.entry.version
+            assert service.model_version == outcome.entry.version
             entry = service.registry.entry("lifecycle")
             assert entry.metadata["cold_trained"] is True
             assert entry.metadata["escalated_from"] == "v1"
@@ -460,9 +460,9 @@ class TestColdTrainEscalation:
     def test_cold_train_failure_is_reported_not_raised(self, store, tmp_path):
         with _make_service(store, tmp_path) as service:
             service.estimator.model = None  # no config to clone
-            result = cold_train_and_swap(service, epochs=1)
-            assert result.done and not result.ok
-            assert isinstance(result.error, RuntimeError)
+            outcome = cold_train_and_swap(service, epochs=1)
+            assert outcome.status == "failed"
+            assert isinstance(outcome.error, RuntimeError)
 
     def test_scheduler_escalates_on_domain_growth(self, store, tmp_path):
         with _make_service(store, tmp_path) as service:

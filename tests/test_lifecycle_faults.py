@@ -8,6 +8,7 @@ estimate requests and a recoverable registry).
 
 import threading
 import time
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -21,7 +22,6 @@ from repro.core import (
 )
 from repro.data import ColumnStore, Table
 from repro.lifecycle import (
-    ColdTrainResult,
     DriftMonitor,
     FaultInjector,
     FaultSpec,
@@ -31,7 +31,7 @@ from repro.lifecycle import (
     SimulatedCrash,
     cold_train_and_swap,
 )
-from repro.serving import EstimationService, ModelRegistry
+from repro.serving import EstimationService, ModelRegistry, TuneOutcome
 from repro.workload import make_random_workload
 
 CONFIG = DuetConfig(hidden_sizes=(16, 16), epochs=1, batch_size=128,
@@ -288,30 +288,28 @@ class TestCanaryGating:
             assert scheduler.events.count("refresh") == 0
             assert service.model_version == version_before
             assert service.registry.versions("lifecycle") == versions_before
-            # rejection is not a fault: breaker stays closed, no backoff...
+            # rejection is not a fault: breaker stays closed, no backoff,
+            # but the burned cycles start a cooldown
             assert scheduler.breaker_state == "closed"
-            assert not scheduler._in_backoff()
-            # ...but the burned cycles start a cooldown
-            assert scheduler._in_cooldown()
+            assert scheduler.parked == "cooldown"
 
     def test_rejected_cold_train_keeps_incumbent(self, store, tmp_path):
         with _make_service(store, tmp_path) as service:
             served = service.estimator.model
             versions_before = service.registry.versions("lifecycle")
-            result = cold_train_and_swap(service, epochs=1,
-                                         gate=lambda model: False)
-            assert result.done and result.rejected and not result.ok
-            assert result.error is None and result.entry is None
+            outcome = cold_train_and_swap(service, epochs=1,
+                                          gate=lambda model: False)
+            assert outcome.status == "rejected"
+            assert outcome.error is None and outcome.entry is None
             assert service.estimator.model is served
             assert service.registry.versions("lifecycle") == versions_before
 
     def test_finalise_reports_rejected_cold_train(self, store, tmp_path):
         with _make_service(store, tmp_path) as service:
             scheduler = RefreshScheduler(service, EAGER)
-            pending = ColdTrainResult()
-            pending.rejected = True
-            pending.data_version = service.data_version
-            pending._done.set()
+            pending = Future()
+            pending.set_result(TuneOutcome(
+                "rejected", data_version=service.data_version))
             scheduler._cold_train = pending
             event = scheduler.poll_once()
             assert event.kind == "cold_train"
@@ -338,27 +336,28 @@ class TestBreakerAndBackoff:
         with _make_service(store, tmp_path) as service:
             scheduler = self._scheduler(service, failure_backoff_seconds=10.0,
                                         failure_backoff_max_seconds=15.0)
-            service.refresh = _raiser("trainer down")
+            service.tune = _raiser("trainer down")
             _append_in_domain(store, 80, seed=4)
             assert scheduler.poll_once().details["action"] == "tune"
             assert scheduler.events.last("error").details["stage"] == "refresh"
             # parked: the very next poll does not retry
             assert scheduler.poll_once().details["action"] == "backoff"
-            first_deadline = scheduler._backoff_until
+            assert scheduler._next_tune_at - time.monotonic() == \
+                pytest.approx(10.0, abs=1.0)
             # a second failure (forced through) doubles the delay, capped
-            scheduler._backoff_until = None
+            scheduler._next_tune_at = float("-inf")
             assert scheduler.poll_once().details["action"] == "tune"
-            assert scheduler._backoff_until - time.monotonic() == \
+            assert scheduler.parked == "backoff"
+            assert scheduler._next_tune_at - time.monotonic() == \
                 pytest.approx(15.0, abs=1.0)  # min(10 * 2, cap 15)
             assert scheduler._consecutive_failures == 2
-            del first_deadline
 
     def test_breaker_opens_after_threshold_and_recovers(self, store, tmp_path):
         with _make_service(store, tmp_path) as service:
             scheduler = self._scheduler(service, breaker_failure_threshold=2,
                                         breaker_cooldown_seconds=60.0)
-            real_refresh = service.refresh
-            service.refresh = _raiser("trainer down")
+            real_tune = service.tune
+            service.tune = _raiser("trainer down")
             _append_in_domain(store, 80, seed=5)
             assert scheduler.poll_once().details["action"] == "tune"
             assert scheduler.breaker_state == "closed"
@@ -372,12 +371,12 @@ class TestBreakerAndBackoff:
             assert scheduler.poll_once().details["action"] == "breaker_open"
             assert scheduler.events.count("error") == errors_before
             # cooldown elapses -> half-open trial; still failing -> re-open
-            scheduler._breaker_opened_at -= 61.0
+            scheduler._next_tune_at -= 61.0
             assert scheduler.poll_once().details["action"] == "tune"
             assert scheduler.breaker_state == "open"
             # cooldown again, trainer fixed -> trial succeeds, breaker closes
-            scheduler._breaker_opened_at -= 61.0
-            service.refresh = real_refresh
+            scheduler._next_tune_at -= 61.0
+            service.tune = real_tune
             event = scheduler.poll_once()
             assert event.details["action"] == "tune"
             assert scheduler.breaker_state == "closed"
@@ -388,22 +387,21 @@ class TestBreakerAndBackoff:
             assert scheduler._consecutive_failures == 0
 
     def test_failed_tune_does_not_consume_the_cooldown(self, store, tmp_path):
-        """Regression: _execute used to stamp _last_tune_at in its finally,
-        so a *failed* refresh parked the scheduler for cooldown_seconds and
-        delayed the recovery it never earned."""
+        """Regression: a *failed* refresh once parked the scheduler for
+        cooldown_seconds and delayed the recovery it never earned."""
         with _make_service(store, tmp_path) as service:
             scheduler = self._scheduler(service, cooldown_seconds=120.0)
-            real_refresh = service.refresh
-            service.refresh = _raiser("transient")
+            real_tune = service.tune
+            service.tune = _raiser("transient")
             _append_in_domain(store, 80, seed=6)
             assert scheduler.poll_once().details["action"] == "tune"
             assert scheduler.events.last("error").details["stage"] == "refresh"
-            assert scheduler._last_tune_at is None  # failure != tune
-            service.refresh = real_refresh
+            assert scheduler.parked is None  # failure != tune (no backoff)
+            service.tune = real_tune
             event = scheduler.poll_once()  # retries immediately, no cooldown
             assert event.details["action"] == "tune"
             assert scheduler.events.count("refresh") == 1
-            assert scheduler._in_cooldown()  # the *success* started one
+            assert scheduler.parked == "cooldown"  # the *success* started one
 
     def test_failed_cold_train_parks_compaction_reescalation(
             self, store, tmp_path, monkeypatch):
@@ -422,7 +420,7 @@ class TestBreakerAndBackoff:
             assert scheduler.quiesce(timeout=30.0)
             assert scheduler.events.last("error").details["stage"] == \
                 "cold_train"
-            assert scheduler._in_backoff()
+            assert scheduler.parked == "backoff"
             # tombstones pile up again, but the backoff parks re-escalation
             store.delete(np.arange(80))
             assert store.tombstone_fraction > 0.2
@@ -467,11 +465,11 @@ class TestFailedSwapRollback:
         with _make_service(store, tmp_path) as service:
             versions_before = service.registry.versions("lifecycle")
             latest_before = service.registry.latest_version("lifecycle")
-            service.swap_model = _raiser("swap exploded")
-            result = cold_train_and_swap(service, epochs=1)
-            assert result.done and not result.ok
-            assert "swap exploded" in repr(result.error)
-            assert result.entry is None
+            service._install = _raiser("install exploded")
+            outcome = cold_train_and_swap(service, epochs=1)
+            assert outcome.status == "failed"
+            assert "install exploded" in repr(outcome.error)
+            assert outcome.entry is None
             assert service.registry.versions("lifecycle") == versions_before
             assert service.registry.latest_version("lifecycle") == \
                 latest_before

@@ -228,7 +228,7 @@ class TestSharedRegistry:
             def fail(*args, **kwargs):
                 raise RuntimeError("trainer down")
 
-            real_refresh, service.refresh = service.refresh, fail
+            real_tune, service.tune = service.tune, fail
             snapshot = base
             store.append({name: snapshot.column(name).distinct_values[
                 rng.integers(0, snapshot.column(name).num_distinct, size=80)]
@@ -238,11 +238,11 @@ class TestSharedRegistry:
             exporter.write_snapshot()
             scheduler.poll_once()                 # failure 2/2: opens
             exporter.write_snapshot()
-            scheduler._breaker_opened_at -= 61.0  # cooldown -> half-open
+            scheduler._next_tune_at -= 61.0       # cooldown -> half-open
             scheduler.poll_once()                 # trial fails -> re-opens
             exporter.write_snapshot()
-            scheduler._breaker_opened_at -= 61.0
-            service.refresh = real_refresh
+            scheduler._next_tune_at -= 61.0
+            service.tune = real_tune
             scheduler.poll_once()                 # trial succeeds -> closes
             exporter.write_snapshot()
 

@@ -247,6 +247,41 @@ class TestEstimationService:
         # which perturbs BLAS summation order: equality up to float noise.
         np.testing.assert_allclose(results, expected, rtol=1e-9)
 
+    def test_one_bad_request_fails_only_itself(self, table, estimator):
+        """A query over the per-column predicate budget raises inside the
+        batched pass; the good requests coalesced with it must still get
+        their own answers."""
+        good = make_random_workload(table, num_queries=7, seed=5,
+                                    label=False).queries
+        bad = Query.from_triples([("age", ">=", 20), ("age", "<=", 50),
+                                  ("age", ">=", 25)])
+        requests = [*good[:3], bad, *good[3:]]
+        config = ServingConfig(cache_capacity=0, max_wait_ms=50.0)
+        with EstimationService(estimator, config) as service:
+            barrier = threading.Barrier(len(requests))
+            outcomes: list = [None] * len(requests)
+
+            def client(index):
+                barrier.wait()
+                try:
+                    outcomes[index] = service.estimate(requests[index])
+                except ValueError as error:
+                    outcomes[index] = error
+
+            threads = [threading.Thread(target=client, args=(index,))
+                       for index in range(len(requests))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+            assert not any(thread.is_alive() for thread in threads)
+            solo = [float(service.probe_batch([query])[0]) for query in good]
+        assert isinstance(outcomes[3], ValueError)
+        served = [outcome for index, outcome in enumerate(outcomes)
+                  if index != 3]
+        assert all(isinstance(outcome, float) for outcome in served)
+        np.testing.assert_allclose(served, solo, rtol=1e-12)
+
     def test_cache_hits_skip_the_model(self, table, estimator):
         query = Query.from_triples([("age", ">=", 30)])
         with EstimationService(estimator, ServingConfig()) as service:
