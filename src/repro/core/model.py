@@ -10,6 +10,8 @@ progressive sampling, no per-column inference loop.
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 
 from .. import nn
@@ -88,15 +90,22 @@ class DuetModel(nn.Module):
         otherwise); it defaults to this model's own table.  Serving uses
         clones to fine-tune *off to the side* while the original keeps
         answering requests, then swaps the tuned copy in atomically.
+
+        The module tree is copied, not rebuilt, so no throwaway random
+        initialisation runs.  What a twin never writes is shared: the
+        config and the MADE masks.  The twin gets its own codec bound to
+        ``table``, and no gradients.
         """
         target = table if table is not None else self.table
         self.codec.ensure_compatible(target)
-        twin = DuetModel(target, self.config)
-        # Same config + same domains -> same module tree, so parameters()
-        # yields matching tensors in matching order.
-        for ours, theirs in zip(self.parameters(), twin.parameters()):
-            theirs.data[...] = ours.data
-        return twin
+        shared = [self.config, *(layer.mask for layer in
+                                 (*self.made._layers, self.made.output_layer))]
+        memo = {id(item): item for item in shared}
+        memo[id(self.table)] = target
+        memo[id(self.codec)] = QueryCodec(target, self.config)
+        memo.update({id(parameter.grad): None for parameter in self.parameters()
+                     if parameter.grad is not None})
+        return copy.deepcopy(self, memo)
 
     # ------------------------------------------------------------------
     def encode_batch(self, values: np.ndarray, ops: np.ndarray) -> Tensor:

@@ -22,6 +22,7 @@ from ..data.table import Table
 from ..workload.workload import Workload
 from .config import DuetConfig
 from .model import DuetModel
+from .train_step import CompiledTrainStep, StepLosses
 from .virtual_table import PredicateGuidance, VirtualTableSampler
 
 __all__ = ["EpochStats", "TrainingHistory", "DuetTrainer"]
@@ -139,6 +140,10 @@ class DuetTrainer:
             values, ops, masks = self.model.codec.translate_batch(self.workload.queries)
             self._query_arrays = (values, ops, masks,
                                   np.asarray(self.workload.cardinalities, dtype=np.float64))
+        #: the lowered training step for models without MPSNs; MPSN models
+        #: train on the autograd tape
+        self._lowered = (None if model.config.multi_predicate
+                         else CompiledTrainStep(model))
 
     # ------------------------------------------------------------------
     @property
@@ -172,6 +177,13 @@ class DuetTrainer:
             loss = column_loss if loss is None else loss + column_loss
         return loss
 
+    def _negative_batch(self):
+        """Virtual-table sample around a random subset of removed tuples."""
+        count = min(self.config.batch_size, self._negative_codes.shape[0])
+        picked = self._rng.choice(self._negative_codes.shape[0], size=count,
+                                  replace=False)
+        return self.sampler.sample_batch(self._negative_codes[picked])
+
     def _negative_loss(self) -> Tensor:
         """Negative-replay hinge on a sample of removed tuples.
 
@@ -182,10 +194,7 @@ class DuetTrainer:
         cross-entropy, so gradients push the removed tuples' likelihood
         *down*, and vanish once they are no more likely than background.
         """
-        count = min(self.config.batch_size, self._negative_codes.shape[0])
-        picked = self._rng.choice(self._negative_codes.shape[0], size=count,
-                                  replace=False)
-        virtual = self.sampler.sample_batch(self._negative_codes[picked])
+        virtual = self._negative_batch()
         outputs = self.model.forward(virtual.values, virtual.ops)
         ce: Tensor | None = None
         for column_index in range(self.table.num_columns):
@@ -204,6 +213,45 @@ class DuetTrainer:
         mapped = F.mapped_qerror_loss(estimates, cards).mean()
         return mapped, float(raw.numpy().mean())
 
+    @property
+    def _negatives_on(self) -> bool:
+        return self._negative_codes is not None and self.negative_weight > 0
+
+    def _tape_step(self, batch_codes: np.ndarray) -> StepLosses:
+        """Loss and ``.grad`` of one step on the autograd tape.
+
+        The training path of MPSN models, and the oracle the lowered step
+        is tested against.
+        """
+        loss = self._data_loss(batch_codes)
+        data_loss = loss.item()
+        if self._negatives_on:
+            loss = loss + self._negative_loss() * self.negative_weight
+        query_loss = raw_qerror = None
+        if self.hybrid:
+            query_term, raw_qerror = self._query_loss()
+            query_loss = query_term.item()
+            loss = loss + query_term * self.config.lambda_query
+        self.optimizer.zero_grad()
+        loss.backward()
+        return StepLosses(data_loss, query_loss, raw_qerror)
+
+    def _lowered_step(self, batch_codes: np.ndarray) -> StepLosses:
+        """The same step through :class:`CompiledTrainStep`.
+
+        Draws from the sampler and ``self._rng`` in the tape's order (data
+        sample, negative replay, query batch), so both see the same batches.
+        """
+        data = self.sampler.sample_batch(batch_codes)
+        negative = self._negative_batch() if self._negatives_on else None
+        query = self._query_batch() if self.hybrid else None
+        return self._lowered.run(
+            data, negative, query,
+            negative_margin=self._negative_margin,
+            negative_weight=self.negative_weight,
+            lambda_query=self.config.lambda_query,
+            num_rows=self.table.num_rows)
+
     # ------------------------------------------------------------------
     def train_epoch(self, epoch: int, evaluation_fn=None) -> EpochStats:
         """One pass over the table (Algorithm 2's outer loop body)."""
@@ -215,17 +263,12 @@ class DuetTrainer:
         started = time.perf_counter()
 
         for batch_codes in self._iterate_batches():
-            loss = self._data_loss(batch_codes)
-            data_losses.append(loss.item())
-            if self._negative_codes is not None and self.negative_weight > 0:
-                loss = loss + self._negative_loss() * self.negative_weight
-            if self.hybrid:
-                query_loss, raw_qerror = self._query_loss()
-                query_losses.append(query_loss.item())
-                raw_qerrors.append(raw_qerror)
-                loss = loss + query_loss * self.config.lambda_query
-            self.optimizer.zero_grad()
-            loss.backward()
+            step = (self._tape_step if self._lowered is None
+                    else self._lowered_step)(batch_codes)
+            data_losses.append(step.data_loss)
+            if step.query_loss is not None:
+                query_losses.append(step.query_loss)
+                raw_qerrors.append(step.raw_qerror)
             if self.config.grad_clip:
                 nn.clip_grad_norm(self.model.parameters(), self.config.grad_clip)
             self.optimizer.step()

@@ -6,8 +6,13 @@ per column — such that ``x`` satisfies every ``P_i``.  The model is then
 trained to predict the distribution of ``x`` conditioned on ``x'``.
 
 The paper's implementation (Algorithm 1) slices each batch per operator to
-avoid expensive indexing in LibTorch and runs in a C++ extension; here the
-same algorithm is expressed with vectorised NumPy:
+avoid expensive indexing in LibTorch and runs in a C++ extension, so that
+sampling and the training step stay cheap enough to keep the model fresh.
+Here the same algorithm is expressed with vectorised NumPy, and the step it
+feeds is lowered the same way: for models without MPSNs,
+:class:`~repro.core.train_step.CompiledTrainStep` runs forward, loss and
+backward as plain NumPy GEMMs instead of on the autograd tape.  The
+sampler:
 
 * the batch is replicated ``mu`` times (expand coefficient) so each tuple is
   trained with several different virtual tuples per step;

@@ -122,6 +122,14 @@ class MADE(Module):
         self.output_layer.set_mask(output_mask)
 
         self._hidden_degrees = hidden_degrees
+        #: per hidden layer: whether it adds the previous hidden layer's
+        #: output (ResMADE skip; needs equal width and equal degrees)
+        self.skips = [
+            residual and index > 0
+            and hidden_sizes[index - 1] == hidden_sizes[index]
+            and np.array_equal(hidden_degrees[index - 1], hidden_degrees[index])
+            for index in range(len(hidden_sizes))
+        ]
 
     # ------------------------------------------------------------------
     def _build_block_specs(self) -> list[ColumnBlockSpec]:
@@ -147,21 +155,9 @@ class MADE(Module):
             raise ValueError(f"expected input width {self.total_input}, "
                              f"got {inputs.shape[-1]}")
         hidden = inputs
-        previous: Tensor | None = None
-        for layer_index, layer in enumerate(self._layers):
-            pre_activation = layer(hidden)
-            activated = pre_activation.relu()
-            can_skip = (
-                self.residual
-                and previous is not None
-                and previous.shape[-1] == activated.shape[-1]
-                and np.array_equal(self._hidden_degrees[layer_index - 1],
-                                   self._hidden_degrees[layer_index])
-            )
-            if can_skip:
-                activated = activated + previous
-            previous = activated
-            hidden = activated
+        for layer, skip in zip(self._layers, self.skips):
+            activated = layer(hidden).relu()
+            hidden = activated + hidden if skip else activated
         return self.output_layer(hidden)
 
     # ------------------------------------------------------------------
@@ -178,14 +174,9 @@ class MADE(Module):
         specs: list[StageSpec] = []
         for layer_index, layer in enumerate(self._layers):
             weight, bias = layer.export_weights()
-            residual_from = None
-            if (self.residual and layer_index > 0
-                    and self.hidden_sizes[layer_index - 1] == self.hidden_sizes[layer_index]
-                    and np.array_equal(self._hidden_degrees[layer_index - 1],
-                                       self._hidden_degrees[layer_index])):
-                residual_from = layer_index - 1
             specs.append(StageSpec(weight, bias, activation="relu",
-                                   residual_from=residual_from))
+                                   residual_from=layer_index - 1
+                                   if self.skips[layer_index] else None))
         weight, bias = self.output_layer.export_weights()
         specs.append(StageSpec(weight, bias))
         return specs

@@ -171,9 +171,11 @@ class Tensor:
             return
         grad = _unbroadcast(np.asarray(grad, dtype=np.float64), self.data.shape)
         if self.grad is None:
+            # The copy makes the buffer this tensor's own, so later
+            # contributions can add into it in place.
             self.grad = grad.copy()
         else:
-            self.grad = self.grad + grad
+            self.grad += grad
 
     # ------------------------------------------------------------------
     # Arithmetic
