@@ -72,25 +72,23 @@ def record_bench_snapshot(name: str, metrics: dict, tolerance: float = 0.4) -> l
     compare against it and return a list of human-readable regression notes
     — **never** asserting, so the comparison stays non-blocking (wall-clock
     margins are machine-dependent; the CI job only surfaces the report).
-    Several tests may share one file: writing merges their metrics, and a
-    run that brings a metric the file lacks records it as its baseline.
 
     Metric direction is inferred from the key: ``*_qps`` / ``*speedup*``
     are higher-is-better, ``*_ms`` lower-is-better, anything else is only
     recorded.  ``tolerance`` is the allowed relative slowdown.
     """
     path = BENCH_DIR / f"BENCH_{name}.json"
-    baseline = json.loads(path.read_text())["metrics"] if path.exists() else {}
-    if set(metrics) - set(baseline) or os.environ.get("REPRO_BENCH_UPDATE"):
-        payload = {
-            "recorded_at": time.strftime("%Y-%m-%d %H:%M:%S"),
-            "machine": platform.machine(),
-            "python": platform.python_version(),
-            "metrics": {**baseline, **metrics},
-        }
+    payload = {
+        "recorded_at": time.strftime("%Y-%m-%d %H:%M:%S"),
+        "machine": platform.machine(),
+        "python": platform.python_version(),
+        "metrics": metrics,
+    }
+    if not path.exists() or os.environ.get("REPRO_BENCH_UPDATE"):
         path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
         print(f"[bench-snapshot] wrote baseline {path.name}")
         return []
+    baseline = json.loads(path.read_text())["metrics"]
     regressions: list[str] = []
     for key, value in sorted(metrics.items()):
         base = baseline.get(key)

@@ -11,7 +11,8 @@ implementation is recorded in the ``BENCH_training_step.json`` snapshot.
 
 The same holds for the whole lowered training step (``CompiledTrainStep``:
 sampling, forward, loss, backward, clip, Adam) on the DMV model, whose
-rows/s against the autograd tape is recorded in the same snapshot.
+rows/s against the autograd tape is recorded in the
+``BENCH_training_step_duet.json`` snapshot.
 """
 
 import time
@@ -27,6 +28,7 @@ from repro.core.config import dmv_config
 from repro.data import make_census, make_dmv
 
 STEPS = 30
+ROUNDS = 3
 
 
 class _AllocatingAdam(nn.Optimizer):
@@ -99,12 +101,16 @@ def test_training_step_is_allocation_free_and_fast():
         f"optimizer step allocated {allocated} bytes "
         f"(model holds {parameter_bytes})")
 
-    in_place_sps = _steps_per_second(optimizer, model)
-
     reference_model = DuetModel(table, dmv_config(seed=0))
     _populate_gradients(reference_model)
-    reference_sps = _steps_per_second(_AllocatingAdam(reference_model.parameters()),
-                                      reference_model)
+    reference = _AllocatingAdam(reference_model.parameters())
+    # Best of alternating rounds: whichever variant is timed first can run
+    # at half speed while the process's fresh memory settles.
+    in_place_sps = reference_sps = 0.0
+    for _ in range(ROUNDS):
+        in_place_sps = max(in_place_sps, _steps_per_second(optimizer, model))
+        reference_sps = max(reference_sps,
+                            _steps_per_second(reference, reference_model))
 
     print(f"\nAdam steps/s: in-place {in_place_sps:.1f} vs "
           f"allocating reference {reference_sps:.1f} "
@@ -151,16 +157,23 @@ def _dmv_trainer(lowered):
     return trainer
 
 
-def _rows_per_second(trainer, epochs=3):
-    trainer.train(epochs=1)  # warm-up: buffers, first-step lazy work
-    return max(stats.tuples_per_second for stats in trainer.train(epochs).epochs)
+def _rows_per_second(trainers):
+    """Best one-batch-epoch rows/s of each trainer, timed in alternating rounds."""
+    for trainer in trainers:
+        trainer.train(epochs=1)  # warm-up: buffers, first-step lazy work
+    best = [0.0] * len(trainers)
+    for _ in range(ROUNDS):
+        for slot, trainer in enumerate(trainers):
+            best[slot] = max(best[slot], trainer.train_epoch(0).tuples_per_second)
+    return best
 
 
 def test_lowered_duet_step_is_allocation_free_and_faster_than_the_tape():
     trainer = _dmv_trainer(lowered=True)
     model = trainer.model
     parameter_bytes = sum(p.data.nbytes for p in model.parameters())
-    lowered_rows_per_s = _rows_per_second(trainer)
+    lowered_rows_per_s, tape_rows_per_s = _rows_per_second(
+        [trainer, _dmv_trainer(lowered=False)])
 
     tracemalloc.start()
     baseline = tracemalloc.get_traced_memory()[0]
@@ -174,15 +187,14 @@ def test_lowered_duet_step_is_allocation_free_and_faster_than_the_tape():
         f"a warmed-up lowered step allocated {peak} bytes at its peak "
         f"(model holds {parameter_bytes})")
 
-    tape_rows_per_s = _rows_per_second(_dmv_trainer(lowered=False), epochs=1)
-    print(f"\nDMV training step rows/s: lowered {lowered_rows_per_s:.0f} vs "
-          f"tape {tape_rows_per_s:.0f} "
+    print(f"\nDMV training step rows/s, best of 3 alternating: lowered "
+          f"{lowered_rows_per_s:.0f} vs tape {tape_rows_per_s:.0f} "
           f"({lowered_rows_per_s / tape_rows_per_s:.2f}x); peak step "
           f"allocation {peak / 1e6:.1f} MB over {parameter_bytes / 1e6:.1f} MB "
           f"of parameters")
     assert lowered_rows_per_s > tape_rows_per_s
 
-    record_bench_snapshot("training_step", {
+    record_bench_snapshot("training_step_duet", {
         "lowered_dmv_step_rows_per_s_qps": lowered_rows_per_s,
         "tape_dmv_step_rows_per_s_qps": tape_rows_per_s,
         "lowered_dmv_step_peak_alloc_bytes": float(peak),

@@ -106,31 +106,23 @@ class CompiledTrainStep:
         return storage[:rows]
 
     def _encode(self, values: np.ndarray, ops: np.ndarray) -> np.ndarray:
-        """The MADE input of ``encode_batch``'s single-slot path, into a buffer."""
-        rows = values.shape[0]
-        inputs = self._buffer("input", rows, self._input_width)
-        inputs.fill(0.0)
-        row_index = np.arange(rows)
+        """The MADE input of ``encode_batch``'s single-slot path, into a buffer.
+
+        The column blocks tile the input, so every entry is written.
+        """
+        inputs = self._buffer("input", values.shape[0], self._input_width)
         for encoder, start, embedding in self._columns:
             column = encoder.column_index
-            op, code = ops[:, column], values[:, column]
-            present = op >= 0
-            present_rows = row_index[present]
-            inputs[present_rows, start] = 1.0
-            inputs[present_rows, start + 1 + op[present]] = 1.0
+            end = start + encoder.predicate_width
+            if embedding is None:
+                inputs[:, start:end] = encoder.encode(values[:, column], ops[:, column])
+                continue
             value_start = start + OPERATOR_FEATURE_WIDTH
-            value_end = start + encoder.predicate_width
-            clipped = np.where(present, code, 0)
-            if embedding is not None:
-                looked_up = embedding.weight.data[clipped]
-                looked_up[~present] = 0.0
-                inputs[:, value_start:value_end] = looked_up
-            elif encoder.strategy == "binary":
-                bits = (clipped[:, None] >> np.arange(encoder.value_width)) & 1
-                bits[~present] = 0
-                inputs[:, value_start:value_end] = bits
-            else:  # onehot
-                inputs[present_rows, value_start + code[present]] = 1.0
+            inputs[:, start:value_start] = encoder.encode_operator_features(ops[:, column])
+            codes = values[:, column]
+            looked_up = embedding.weight.data[np.where(codes >= 0, codes, 0)]
+            looked_up *= (ops[:, column] >= 0)[:, None]
+            inputs[:, value_start:end] = looked_up
         return inputs
 
     # ------------------------------------------------------------------

@@ -723,11 +723,6 @@ def table3_training_throughput(dataset: str = "census", scale: SmokeScale | None
         config = scale.duet_config(epochs=1, lambda_query=lam, batch_size=batch_size)
         model = DuetModel(table, config)
         trainer = DuetTrainer(model, table, workload, config)
-        # Table III compares the methods' training cost on one substrate:
-        # the baselines train on the autograd tape, so Duet does here too.
-        # The lowered step's own speed-up is measured by
-        # benchmarks/test_training_step.py.
-        trainer._lowered = None
         stats = trainer.train_epoch(0)
         throughput[name] = stats.tuples_per_second
         query_term = config.query_batch_size * hidden if workload is not None else 0

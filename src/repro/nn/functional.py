@@ -56,8 +56,28 @@ def nll_loss(log_probs: Tensor, targets: np.ndarray, reduction: str = "mean") ->
 
 
 def cross_entropy(logits: Tensor, targets: np.ndarray, reduction: str = "mean") -> Tensor:
-    """Cross-entropy between raw ``logits`` and integer class ``targets``."""
-    return nll_loss(log_softmax(logits, axis=-1), targets, reduction=reduction)
+    """Cross-entropy between raw ``logits`` and integer class ``targets``.
+
+    The same values as ``nll_loss(log_softmax(logits), targets)``, recorded
+    as one tape node whose backward is ``softmax − one-hot``.
+    """
+    targets = np.asarray(targets, dtype=np.int64)
+    rows = np.arange(logits.shape[0])
+    shifted = logits.data - logits.data.max(axis=-1, keepdims=True)
+    probabilities = np.exp(shifted)
+    totals = probabilities.sum(axis=-1, keepdims=True)
+    per_row = np.log(totals[:, 0]) - shifted[rows, targets]
+
+    def backward(grad: np.ndarray) -> None:
+        if not logits.requires_grad:
+            return
+        d_logits = probabilities / totals
+        d_logits[rows, targets] -= 1.0
+        d_logits *= np.asarray(grad)[..., None]
+        logits._accumulate(d_logits)
+
+    losses = logits._make(per_row, (logits,), backward)
+    return _reduce(losses, reduction)
 
 
 def mse_loss(prediction: Tensor, target: Tensor | np.ndarray, reduction: str = "mean") -> Tensor:

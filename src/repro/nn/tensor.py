@@ -58,6 +58,13 @@ def is_grad_enabled() -> bool:
     return _grad_mode.enabled
 
 
+def _is_basic_index(index) -> bool:
+    """Whether ``index`` uses only basic indexing (ints, slices, ``...``)."""
+    items = index if isinstance(index, tuple) else (index,)
+    return all(isinstance(item, (int, np.integer, slice)) or item is None
+               or item is Ellipsis for item in items)
+
+
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Reduce ``grad`` so that it matches ``shape`` after a broadcast op.
 
@@ -176,6 +183,22 @@ class Tensor:
             self.grad = grad.copy()
         else:
             self.grad += grad
+
+    def _accumulate_at(self, index, grad: np.ndarray) -> None:
+        """Add ``grad`` into ``self.grad[index]`` in place.
+
+        The backward of indexing: no full-size zero array per read.  Basic
+        indices (ints, slices) never repeat an element, so a plain ``+=``
+        is exact; advanced indices scatter with ``np.add.at``.
+        """
+        if not self.requires_grad:
+            return
+        if self.grad is None:
+            self.grad = np.zeros_like(self.data)
+        if _is_basic_index(index):
+            self.grad[index] += grad
+        else:
+            np.add.at(self.grad, index, grad)
 
     # ------------------------------------------------------------------
     # Arithmetic
@@ -392,9 +415,7 @@ class Tensor:
         out_data = self.data[index]
 
         def backward(grad: np.ndarray) -> None:
-            full = np.zeros_like(self.data)
-            np.add.at(full, index, grad)
-            self._accumulate(full)
+            self._accumulate_at(index, grad)
 
         return self._make(out_data, (self,), backward)
 

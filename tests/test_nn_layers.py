@@ -146,6 +146,25 @@ class TestFunctional:
         expected[2] -= 1
         np.testing.assert_allclose(logits.grad[0], expected, atol=1e-10)
 
+    @pytest.mark.parametrize("reduction", ["mean", "sum", "none"])
+    def test_cross_entropy_matches_log_softmax_nll(self, reduction):
+        rng = np.random.default_rng(3)
+        data = rng.normal(size=(6, 5)) * 4.0
+        targets = np.array([0, 4, 2, 2, 1, 3])
+        weights = rng.normal(size=6)
+        grads, values = [], []
+        for fused in (True, False):
+            logits = Tensor(data, requires_grad=True)
+            loss = (F.cross_entropy(logits, targets, reduction=reduction) if fused
+                    else F.nll_loss(F.log_softmax(logits), targets, reduction=reduction))
+            values.append(loss.numpy().copy())
+            if reduction == "none":
+                loss = (loss * weights).sum()
+            loss.backward()
+            grads.append(logits.grad)
+        np.testing.assert_array_equal(values[0], values[1])
+        np.testing.assert_allclose(grads[0], grads[1], rtol=1e-12, atol=1e-15)
+
     def test_mse(self):
         pred = Tensor(np.array([1.0, 2.0]), requires_grad=True)
         loss = F.mse_loss(pred, np.array([0.0, 0.0]))

@@ -187,6 +187,12 @@ class TestReductionsAndShapes:
         expected[rows, cols] = 1
         np.testing.assert_allclose(a.grad, expected)
 
+    def test_getitem_overlapping_slices_accumulate(self):
+        a = Tensor(np.arange(12, dtype=float).reshape(3, 4), requires_grad=True)
+        (a[:, 0:3].sum() + a[:, 1:4].sum() * 2.0 + a[1].sum()).backward()
+        expected = np.array([1.0, 3.0, 3.0, 2.0]) + np.array([[0.0], [1.0], [0.0]])
+        np.testing.assert_allclose(a.grad, expected)
+
     def test_concat_backward(self):
         a = Tensor(np.ones((2, 2)), requires_grad=True)
         b = Tensor(np.ones((2, 3)), requires_grad=True)
