@@ -3,9 +3,9 @@
 Every experiment labels its workloads with exact cardinalities before any
 model runs, so labeling speed bounds the whole suite.  This guard pins the
 chunked ``true_cardinalities`` implementation against the naive per-query
-executor loop: the vectorised path must not be slower, and in practice is
-several times faster because each constrained column's code array is
-scanned once per chunk instead of once per query.
+executor loop: the vectorised path must not be slower.  At this test's
+size (DMV scale 0.004, 400 queries) it leads by only ~1.1-1.2x, so both
+paths are timed as the best of alternating rounds.
 
 The append-then-label and delete-then-label cases guard the data
 lifecycle's incremental path: after a mutation, ``true_cardinalities_delta``
@@ -31,22 +31,37 @@ from repro.workload import (
 )
 
 
-def test_chunked_labeling_beats_per_query_loop(benchmark):
+#: alternating timing rounds per labeling path; each keeps its best
+ROUNDS = 5
+
+
+def _timed(function):
+    """``(result, seconds)`` of one call."""
+    started = time.perf_counter()
+    result = function()
+    return result, time.perf_counter() - started
+
+
+def test_chunked_labeling_beats_per_query_loop():
     table = make_dmv(scale=0.004, seed=0)
     workload = make_random_workload(table, num_queries=400, seed=17, label=False)
 
-    started = time.perf_counter()
-    naive = np.array([cardinality(table, query) for query in workload],
-                     dtype=np.int64)
-    naive_seconds = time.perf_counter() - started
+    def per_query():
+        return np.array([cardinality(table, query) for query in workload],
+                        dtype=np.int64)
 
-    chunked = benchmark(true_cardinalities, table, workload.queries)
+    # One timing of either path can land on a burst of host contention.
+    naive_seconds = chunked_seconds = float("inf")
+    for _ in range(ROUNDS):
+        naive, seconds = _timed(per_query)
+        naive_seconds = min(naive_seconds, seconds)
+        chunked, seconds = _timed(lambda: true_cardinalities(table, workload.queries))
+        chunked_seconds = min(chunked_seconds, seconds)
 
     np.testing.assert_array_equal(chunked, naive)
-    chunked_seconds = benchmark.stats.stats.mean
-    print(f"\nlabeling {len(workload)} queries on {table.num_rows} rows: "
-          f"per-query {naive_seconds:.3f}s vs chunked {chunked_seconds:.3f}s "
-          f"({naive_seconds / max(chunked_seconds, 1e-9):.1f}x)")
+    print(f"\nlabeling {len(workload)} queries on {table.num_rows} rows, best of "
+          f"{ROUNDS} alternating: per-query {naive_seconds:.3f}s vs chunked "
+          f"{chunked_seconds:.3f}s ({naive_seconds / max(chunked_seconds, 1e-9):.1f}x)")
     # Guard: chunked labeling must not regress behind the per-query loop.
     assert chunked_seconds <= naive_seconds
 

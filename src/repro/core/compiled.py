@@ -5,10 +5,12 @@ into pure-array form:
 
 * the MADE is lowered into one :class:`~repro.nn.ForwardPlan` (autoregressive
   masks folded into the weights, fused linear+ReLU stages, reusable ``out=``
-  buffers),
+  buffers; a large output stage reads each column block's live row prefix),
 * MLP MPSNs are merged into the block-diagonal accelerator (§IV-F), which is
   itself a plan sharing the same dtype,
-* embedding tables become plain gather arrays, and
+* a single-predicate model encodes by table gathers alone: operator
+  features and each column's value features (an embedding column's
+  snapshotted embedding matrix) are lookup tables, and
 * Algorithm 3's zero-out runs through the fused
   :func:`~repro.nn.masked_block_mass` kernel — constrained columns get their
   masked probability mass straight from the logits, unconstrained columns
@@ -80,19 +82,24 @@ class CompiledDuetModel:
         self.made_plan: ForwardPlan = ForwardPlan(model.made.export_stage_specs(),
                                                   self.options)
         # Embedding tables as plain gather arrays (weights snapshotted).
-        self._embeddings = {
+        embeddings = {
             column_index: embedding.weight.data.astype(self.dtype, copy=True)
             for column_index, embedding in model._embedding_columns.items()
         }
-        # MPSNs: the MLP variant merges into one block-diagonal plan; the
-        # RNN/recursive variants have data-dependent recurrences that do not
-        # lower to dense stages, so they fall back to tape modules under
-        # ``no_grad`` (still batched, just not buffer-fused).  The fallback
-        # modules are *clones* so the weight-snapshot contract holds for
-        # every variant.
+        # Single-predicate models encode by table gathers alone (embedding
+        # columns included).  MPSNs: the MLP variant merges into one
+        # block-diagonal plan; the RNN/recursive variants have data-dependent
+        # recurrences that do not lower to dense stages, so they fall back to
+        # tape modules under ``no_grad`` (still batched, just not
+        # buffer-fused).  The fallback modules are *clones* so the
+        # weight-snapshot contract holds for every variant.
         self._merged_mpsn: MergedMLPInference | None = None
         self._fallback_mpsns = None
-        if model.config.multi_predicate:
+        self._fast_encode = not model.config.multi_predicate
+        if self._fast_encode:
+            self._build_encode_tables(embeddings)
+        else:
+            self._embeddings = embeddings
             if all(isinstance(mpsn, MLPMPSN) for mpsn in model._mpsns):
                 self._merged_mpsn = MergedMLPInference(model._mpsns, self.options)
             else:
@@ -103,9 +110,6 @@ class CompiledDuetModel:
                     clone.load_state_dict(mpsn.state_dict())
                     clone.eval()
                     self._fallback_mpsns.append(clone)
-        self._fast_encode = not self._embeddings and not model.config.multi_predicate
-        if self._fast_encode:
-            self._build_encode_tables()
         # Phase profiling (opt-in): cumulative seconds/calls of the encode
         # gather, the lowered MADE forward, and the fused zero-out mask.
         self._profile = False
@@ -113,7 +117,7 @@ class CompiledDuetModel:
         self.phase_calls = {"encode": 0, "forward": 0, "mask": 0}
         self.lock = threading.Lock()
 
-    def _build_encode_tables(self) -> None:
+    def _build_encode_tables(self, embeddings: dict[int, np.ndarray]) -> None:
         """Precompute gather tables for the single-predicate encode path.
 
         Operator features become one ``(NUM_OPERATORS + 1, width)`` lookup
@@ -121,6 +125,7 @@ class CompiledDuetModel:
         becomes a ``(NDV + 1, width)`` lookup whose last row is the wildcard
         zeros, so encoding a batch is one table gather per feature group
         instead of re-deriving presence bits and binary digits every call.
+        An embedding column's table is its snapshotted embedding matrix.
         """
         # Tables and buffer live in the plan dtype: the gathered encoding
         # feeds the plan input directly, with no second full-batch cast
@@ -137,8 +142,9 @@ class CompiledDuetModel:
             op_destinations.append(np.arange(offset, offset + OPERATOR_FEATURE_WIDTH))
             value_start = offset + OPERATOR_FEATURE_WIDTH
             self._value_slices.append((value_start, value_start + encoder.value_width))
-            codes = np.arange(encoder.num_distinct)
-            table = encoder.encode_value_features(codes)
+            table = embeddings.get(encoder.column_index)
+            if table is None:
+                table = encoder.encode_value_features(np.arange(encoder.num_distinct))
             self._value_tables.append(np.vstack(
                 [table, np.zeros((1, encoder.value_width))]).astype(self.dtype))
             offset += encoder.predicate_width
@@ -251,8 +257,6 @@ class CompiledDuetModel:
             per_column.append(np.concatenate([op_features, value_features], axis=-1))
             presences.append(presence)
 
-        if not config.multi_predicate:
-            return np.concatenate([block[:, 0, :] for block in per_column], axis=-1)
         if self._merged_mpsn is not None:
             embedded = self._merged_mpsn.forward(per_column, presences)
             return np.concatenate(embedded, axis=-1)

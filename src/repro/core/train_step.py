@@ -10,8 +10,11 @@ lowers to a handful of GEMMs with a hand-written backward:
 * **forward** — the data, query and negative-replay batches are encoded into
   one input matrix and run through the MADE together (rows are independent,
   so stacking them only makes the GEMMs larger).  Masks are applied as
-  ``W ⊙ mask``; every activation lands in a grow-only buffer reused across
-  steps;
+  ``W ⊙ mask``, except on an output layer large enough for row prefixes
+  (:meth:`MADE.output_row_limits`): MADE lists its hidden units in degree
+  order, so column block ``c`` reads exactly the hidden rows ``[0, k_c)``
+  and gets one GEMM over that prefix, with no mask.  Every activation
+  lands in a grow-only buffer reused across steps;
 * **loss** — per-column cross-entropy and, for the hybrid query loss, the
   zero-out product of Algorithm 3 are computed column block by column block
   in place on the logits, which then hold ``dL/dlogits``.  (``reduceat``
@@ -21,10 +24,15 @@ lowers to a handful of GEMMs with a hand-written backward:
 * **backward** — masked dense + ReLU + residual: ``dW = (Xᵀ·dY) ⊙ mask``,
   ``db = ΣdY``, ``dX = dY·(W ⊙ mask)ᵀ``; the MADE input gradient is only
   formed for the embedding value slices and scattered into their tables.
+  Under row prefixes the output layer's runs as a staircase: hidden rows
+  ``[k_{c-1}, k_c)`` get one dX and one dW GEMM over the output columns
+  from block ``c`` on, written straight into buffer slices.
 
-Each layer's gradient buffer doubles as its masked-weight buffer: the
-forward writes ``W ⊙ mask`` into it and the backward consumes that for the
-input gradient before overwriting it with ``dW``.  The step then sets
+Each masked layer's gradient buffer doubles as its masked-weight buffer:
+the forward writes ``W ⊙ mask`` into it and the backward consumes that for
+the input gradient before overwriting it with ``dW``.  Under row prefixes
+the output layer's is zeroed once; its masked-out region is never
+written.  The step then sets
 ``parameter.grad`` on every parameter, so ``clip_grad_norm`` and the
 in-place :class:`~repro.nn.Adam` run unchanged and a warmed-up step
 allocates nothing proportional to the parameter count.
@@ -87,9 +95,30 @@ class CompiledTrainStep:
             for encoder in model.codec.encoders
         ]
         self._layers = [*self._hidden, self._output]
-        #: per layer: weight-gradient / masked-weight buffer, bias gradient
+        #: per output block: (live hidden rows k, start, end); the rows
+        #: [0, k) are a prefix because MADE lists its units in degree order.
+        #: Where MADE finds one dense product cheaper, one block over
+        #: W ⊙ mask, formed in the gradient buffer as for a hidden layer.
+        limits = made.output_row_limits()
+        self._output_mask = None if limits is not None else self._output.mask
+        self._output_blocks = (
+            [(self._output.in_features, 0, made.total_output)] if limits is None
+            else [(rows, start, end) for rows, (start, end)
+                  in zip(limits, self._out_slices)])
+        #: the backward's staircase: hidden rows [low, high) feed the output
+        #: columns [start, total) -- every block from the first that reads them
+        steps = [0, *(rows for rows, _, _ in self._output_blocks)]
+        self._staircase = [(low, high, start) for low, high, (_, start, _)
+                           in zip(steps[:-1], steps[1:], self._output_blocks)
+                           if high > low]
+        self._dead_rows = steps[-1]  # rows no block reads: zero gradient
+        #: per layer: weight-gradient buffer, which for a masked dense layer
+        #: also holds W ⊙ mask between the forward and the backward; under
+        #: row prefixes the output layer's is zeroed once, its masked-out
+        #: region never written
         self._weight_buffers = [np.empty_like(layer.weight.data)
-                                for layer in self._layers]
+                                for layer in self._hidden]
+        self._weight_buffers.append(np.zeros_like(self._output.weight.data))
         self._bias_grads = [np.empty_like(layer.bias.data) for layer in self._layers]
         self._embedding_grads = {
             column: np.empty_like(embedding.weight.data)
@@ -155,15 +184,12 @@ class CompiledTrainStep:
         # -- forward ---------------------------------------------------
         activations = [self._encode(values, ops)]  # input of each layer
         rectified = []                              # ReLU output per hidden layer
-        for index, layer in enumerate(self._layers):
+        for index, layer in enumerate(self._hidden):
             masked = self._weight_buffers[index]
             np.multiply(layer.weight.data, layer.mask, out=masked)
-            name = "logits" if layer is self._output else f"relu{index}"
-            out = self._buffer(name, rows, masked.shape[1])
+            out = self._buffer(f"relu{index}", rows, masked.shape[1])
             np.matmul(activations[-1], masked, out=out)
             out += layer.bias.data
-            if layer is self._output:
-                break
             np.maximum(out, 0.0, out=out)
             rectified.append(out)
             if self._skip[index]:
@@ -171,7 +197,17 @@ class CompiledTrainStep:
                 np.add(out, activations[-1], out=summed)
                 out = summed
             activations.append(out)
-        logits = out
+        logits = self._buffer("logits", rows, self._output.out_features)
+        weight = self._output.weight.data
+        if self._output_mask is not None:
+            weight = np.multiply(weight, self._output_mask, out=self._weight_buffers[-1])
+        for live, start, end in self._output_blocks:
+            if live:
+                np.matmul(out[:, :live], weight[:live, start:end],
+                          out=logits[:, start:end])
+            else:
+                logits[:, start:end] = 0.0
+        logits += self._output.bias.data
 
         # -- loss: the logits become dL/dlogits in place -------------------
         ce_rows = np.r_[0:data_rows, labelled_rows:rows]
@@ -266,20 +302,45 @@ class CompiledTrainStep:
         return (float((np.log(qerror + 1.0) / _LN2).mean()),
                 float(qerror.mean()))
 
+    def _output_backward(self, d_logits: np.ndarray, hidden: np.ndarray) -> np.ndarray:
+        """The output layer's backward as a staircase over its live rows.
+
+        Hidden rows ``[low, high)`` get one dX and one dW GEMM over the
+        output columns ``[start, total)`` that read them, written straight
+        into slices of the buffers; the masked-out rest of dW stays zero.
+        Returns dL/d(hidden).
+        """
+        weight_grad = self._weight_buffers[-1]
+        # Dense: the buffer holds W ⊙ mask, read by dX before dW lands in
+        # the staircase's one step.
+        weight = self._output.weight.data if self._output_mask is None else weight_grad
+        d_hidden = self._buffer(f"grad{len(self._hidden) - 1}",
+                                d_logits.shape[0], weight.shape[0])
+        for low, high, start in self._staircase:
+            np.matmul(d_logits[:, start:], weight[low:high, start:].T,
+                      out=d_hidden[:, low:high])
+            np.matmul(hidden[:, low:high].T, d_logits[:, start:],
+                      out=weight_grad[low:high, start:])
+        d_hidden[:, self._dead_rows:] = 0.0
+        if self._output_mask is not None:
+            weight_grad *= self._output_mask
+        np.sum(d_logits, axis=0, out=self._bias_grads[-1])
+        return d_hidden
+
     def _backward(self, d_logits: np.ndarray, activations: list,
                   rectified: list, values: np.ndarray, ops: np.ndarray) -> None:
         """Masked dense + ReLU + residual backward into the gradient buffers."""
         rows = d_logits.shape[0]
-        d_out = d_logits  # gradient w.r.t. the current layer's output
-        for index in reversed(range(len(self._layers))):
-            d_pre = d_out
-            if index < len(self._hidden):
-                active = rectified[index] > 0.0
-                if self._skip[index]:  # d_out also flows down the skip
-                    d_pre = self._buffer(f"pre{index}", rows, d_out.shape[1])
-                    np.multiply(d_out, active, out=d_pre)
-                else:
-                    d_pre *= active
+        # gradient w.r.t. the current layer's output
+        d_out = self._output_backward(d_logits, activations[-1])
+        for index in reversed(range(len(self._hidden))):
+            active = rectified[index] > 0.0
+            if self._skip[index]:  # d_out also flows down the skip
+                d_pre = self._buffer(f"pre{index}", rows, d_out.shape[1])
+                np.multiply(d_out, active, out=d_pre)
+            else:
+                d_pre = d_out
+                d_pre *= active
             masked = self._weight_buffers[index]
             # dX before dW: the buffer still holds W ⊙ mask until dW lands.
             if index > 0:
@@ -290,7 +351,7 @@ class CompiledTrainStep:
             else:
                 self._embedding_backward(d_pre, masked, values, ops)
             np.matmul(activations[index].T, d_pre, out=masked)
-            masked *= self._layers[index].mask
+            masked *= self._hidden[index].mask
             np.sum(d_pre, axis=0, out=self._bias_grads[index])
             if index > 0:
                 d_out = d_below

@@ -236,6 +236,12 @@ class DuetTrainer:
         loss.backward()
         return StepLosses(data_loss, query_loss, raw_qerror)
 
+    def _step(self, batch_codes: np.ndarray) -> StepLosses:
+        """Loss and ``.grad`` of one step, lowered where the model allows."""
+        if self._lowered is None:
+            return self._tape_step(batch_codes)
+        return self._lowered_step(batch_codes)
+
     def _lowered_step(self, batch_codes: np.ndarray) -> StepLosses:
         """The same step through :class:`CompiledTrainStep`.
 
@@ -263,8 +269,7 @@ class DuetTrainer:
         started = time.perf_counter()
 
         for batch_codes in self._iterate_batches():
-            step = (self._tape_step if self._lowered is None
-                    else self._lowered_step)(batch_codes)
+            step = self._step(batch_codes)
             data_losses.append(step.data_loss)
             if step.query_loss is not None:
                 query_losses.append(step.query_loss)
@@ -291,10 +296,15 @@ class DuetTrainer:
         )
 
     def train(self, epochs: int | None = None, evaluation_fn=None) -> TrainingHistory:
-        """Run the full training loop and return the per-epoch history."""
+        """Run the full training loop and return the per-epoch history.
+
+        The trained model keeps no gradients: serving never reads them, and
+        each would hold one parameter-sized array per model version.
+        """
         history = TrainingHistory()
         for epoch in range(epochs if epochs is not None else self.config.epochs):
             history.append(self.train_epoch(epoch, evaluation_fn=evaluation_fn))
+        self.model.zero_grad()
         return history
 
     # ------------------------------------------------------------------
@@ -399,4 +409,5 @@ class DuetTrainer:
                 nn.clip_grad_norm(self.model.parameters(), self.config.grad_clip)
             self.optimizer.step()
             losses.append(loss.item())
+        self.model.zero_grad()
         return losses

@@ -13,6 +13,7 @@ from __future__ import annotations
 import gc
 import time
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -682,6 +683,20 @@ class ThroughputResult:
                                   "paper's GPU-memory discussion")
 
 
+#: how long the BLAS thread pool runs slow after its first threaded GEMM:
+#: ~1 s of 5-8 ms per small GEMM (instead of ~35 us) was measured on a
+#: 2-vCPU host with OpenBLAS 0.3, in about half of the fresh processes
+_BLAS_SETTLE_SECONDS = 1.5
+
+
+def _warm_up(batch: Callable[[], object], settle_seconds: float = 0.0) -> None:
+    """Run an untimed training batch, repeated until ``settle_seconds`` pass."""
+    started = time.perf_counter()
+    batch()
+    while time.perf_counter() - started < settle_seconds:
+        batch()
+
+
 def table3_training_throughput(dataset: str = "census", scale: SmokeScale | None = None,
                                naru_samples: int = 100) -> ThroughputResult:
     """Reproduce Table III: training throughput of Naru, UAE, DuetD and Duet."""
@@ -694,8 +709,14 @@ def table3_training_throughput(dataset: str = "census", scale: SmokeScale | None
     hidden = max(scale.hidden_sizes)
     batch_size = 256
 
+    # Each method runs one untimed batch (forward and backward) before its
+    # timed epoch, so no epoch pays its first-call work.  The first repeats
+    # its batch for _BLAS_SETTLE_SECONDS: the BLAS thread pool runs every
+    # threaded GEMM ~100x slower for about a second after it starts.
     naru = NaruEstimator(table, hidden_sizes=scale.hidden_sizes, batch_size=batch_size,
                          num_samples=naru_samples, seed=0)
+    _warm_up(lambda: naru._data_loss(naru._codes[:batch_size]).backward(),
+             settle_seconds=_BLAS_SETTLE_SECONDS)
     started = time.perf_counter()
     naru.fit_epoch()
     throughput["naru"] = table.num_rows / (time.perf_counter() - started)
@@ -705,6 +726,8 @@ def table3_training_throughput(dataset: str = "census", scale: SmokeScale | None
                        num_samples=naru_samples, num_training_samples=4,
                        query_batch_size=4, seed=0)
     uae.attach_workload(train_queries.subset(range(min(100, len(train_queries)))))
+    _warm_up(lambda: (uae._data_loss(uae._codes[:batch_size])
+                      + uae._query_loss()).backward())
     started = time.perf_counter()
     uae.fit_epoch()
     throughput["uae"] = table.num_rows / (time.perf_counter() - started)
@@ -723,6 +746,7 @@ def table3_training_throughput(dataset: str = "census", scale: SmokeScale | None
         config = scale.duet_config(epochs=1, lambda_query=lam, batch_size=batch_size)
         model = DuetModel(table, config)
         trainer = DuetTrainer(model, table, workload, config)
+        _warm_up(lambda: trainer._step(trainer._codes[:batch_size]))
         stats = trainer.train_epoch(0)
         throughput[name] = stats.tuples_per_second
         query_term = config.query_batch_size * hidden if workload is not None else 0

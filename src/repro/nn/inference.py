@@ -8,7 +8,10 @@ forward.  This module lowers a trained network *once* into a
 :class:`ForwardPlan` — a flat list of fused linear(+activation) stages whose
 
 * MADE masks are folded into the weight matrices at compile time
-  (``W_folded = W * mask``),
+  (``W_folded = W * mask``); a stage whose ``row_limits`` say that each
+  output block reads only a row prefix (a large MADE output layer, whose
+  hidden units are listed in degree order) runs one GEMM per block over
+  slices of the folded weight, skipping the masked-out rows,
 * output buffers are preallocated and reused across micro-batches
   (``np.dot(..., out=...)`` writes straight into them), and
 * arithmetic optionally runs in ``float32`` (half the memory traffic; the
@@ -85,19 +88,34 @@ class StageSpec:
     *after* this stage's activation (``y = act(x @ W + b) + y_skip``, the
     ResMADE convention); ``None`` means no skip.  ``activation`` is one of
     ``"relu"``, ``"tanh"``, ``"sigmoid"`` or ``None`` (linear output stage).
+
+    ``row_limits`` declares a row-prefix sparsity of ``weight``: a list of
+    ``(rows, start, end)`` blocks tiling the output columns, where columns
+    ``[start, end)`` read only input rows ``[0, rows)`` (the rest of their
+    weight is zero).  The plan then runs one GEMM per block over those
+    slices.  ``None`` means dense.
     """
 
-    __slots__ = ("weight", "bias", "activation", "residual_from")
+    __slots__ = ("weight", "bias", "activation", "residual_from", "row_limits")
 
     def __init__(self, weight: np.ndarray, bias: np.ndarray | None,
                  activation: str | None = None,
-                 residual_from: int | None = None) -> None:
+                 residual_from: int | None = None,
+                 row_limits: Sequence[tuple[int, int, int]] | None = None) -> None:
         if activation is not None and activation not in _ACTIVATIONS:
             raise ValueError(f"unknown activation {activation!r}")
         self.weight = np.asarray(weight)
         self.bias = None if bias is None else np.asarray(bias)
         self.activation = activation
         self.residual_from = residual_from
+        self.row_limits = None if row_limits is None else tuple(
+            (int(rows), int(start), int(end)) for rows, start, end in row_limits)
+        if self.row_limits is not None:
+            rows, starts, ends = (list(part) for part in zip(*self.row_limits))
+            if (starts != [0, *ends[:-1]] or ends[-1] != self.out_features
+                    or not all(0 <= live <= self.in_features for live in rows)):
+                raise ValueError("row_limits must tile the output columns in "
+                                 "order, each block reading a row prefix")
 
     @property
     def in_features(self) -> int:
@@ -147,7 +165,7 @@ class ForwardPlan:
                 np.array(stage.weight, dtype=dtype, order="C"),
                 None if stage.bias is None
                 else np.array(stage.bias, dtype=dtype, order="C"),
-                stage.activation, stage.residual_from))
+                stage.activation, stage.residual_from, stage.row_limits))
         widths = [s.in_features for s in self.stages] + [self.stages[-1].out_features]
         for left, right in zip(self.stages[:-1], self.stages[1:]):
             if left.out_features != right.in_features:
@@ -240,7 +258,17 @@ class ForwardPlan:
             if profile:
                 stage_started = time.perf_counter()
             out = self._buffers[index][:batch]
-            np.dot(current, stage.weight, out=out)
+            if stage.row_limits is None:
+                np.dot(current, stage.weight, out=out)
+            else:
+                # One GEMM per block over strided slices of the weight: the
+                # masked-out rows past each block's prefix are skipped.
+                for rows, start, end in stage.row_limits:
+                    if rows:
+                        np.matmul(current[:, :rows], stage.weight[:rows, start:end],
+                                  out=out[:, start:end])
+                    else:
+                        out[:, start:end] = 0.0
             if stage.bias is not None:
                 out += stage.bias
             _apply_activation(out, stage.activation)

@@ -22,6 +22,16 @@ from .tensor import Tensor
 
 __all__ = ["ColumnBlockSpec", "MADE"]
 
+#: masked-out output weights a column block must skip, on average, before
+#: one GEMM per block beats one dense masked GEMM.  Measured on 2 vCPUs
+#: (float64): a served pass at batch 2 breaks even near 5k; a training
+#: step between 5k and over 19k, later the more rows it stacks (640 to
+#: 2,600 were tried), because the backward's per-block GEMMs are thin.
+#: 2^16 keeps a margin on both.  DMV's 1024x5435 output layer skips ~186k
+#: per block; census's 128x610 skips ~2.3k, where per-block calls made a
+#: training step ~18% slower and the served output stage ~3x slower.
+MIN_SKIPPED_PER_BLOCK = 2 ** 16
+
 
 @dataclass(frozen=True)
 class ColumnBlockSpec:
@@ -99,10 +109,11 @@ class MADE(Module):
         # P(C_i | . < i) for i >= 1 has hidden capacity.  With a single
         # column there is nothing to condition on and all masks to the
         # output are zero (the output is learned through the bias alone).
+        # Each layer lists its units in degree order (see
+        # ``order_units_by_degree``), so the output block of column c reads
+        # a row prefix of the output weight: ``output_row_limits``.
         max_degree = max(self.num_columns - 1, 1)
-        hidden_degrees = [
-            np.arange(size) % max_degree for size in hidden_sizes
-        ]
+        hidden_degrees = [np.sort(np.arange(size) % max_degree) for size in hidden_sizes]
 
         self._layers: list[MaskedLinear] = []
         previous_degrees = input_degrees
@@ -120,6 +131,9 @@ class MADE(Module):
         self.output_layer = MaskedLinear(previous_size, self.total_output, rng=rng)
         output_mask = (output_degrees[None, :] > previous_degrees[:, None]).astype(np.float64)
         self.output_layer.set_mask(output_mask)
+        self._row_limits = np.searchsorted(previous_degrees, np.arange(self.num_columns),
+                                           side="left").tolist()
+        self.order_units_by_degree()
 
         self._hidden_degrees = hidden_degrees
         #: per hidden layer: whether it adds the previous hidden layer's
@@ -167,7 +181,10 @@ class MADE(Module):
         The spec list mirrors :meth:`forward` exactly: every hidden layer
         becomes a fused linear+ReLU stage whose weight already carries the
         autoregressive mask, ResMADE skip connections become ``residual_from``
-        links, and the output layer is the final linear stage.
+        links, and the output layer is the final linear stage.  That stage
+        carries :meth:`output_row_limits`, when there are any, as
+        ``(rows, start, end)`` blocks, so the plan multiplies only each
+        output block's live row prefix.
         """
         from .inference import StageSpec
 
@@ -178,8 +195,52 @@ class MADE(Module):
                                    residual_from=layer_index - 1
                                    if self.skips[layer_index] else None))
         weight, bias = self.output_layer.export_weights()
-        specs.append(StageSpec(weight, bias))
+        limits = self.output_row_limits()
+        specs.append(StageSpec(weight, bias, row_limits=None if limits is None else [
+            (rows, start, end) for rows, (start, end)
+            in zip(limits, self.output_block_slices())]))
         return specs
+
+    def output_row_limits(self) -> list[int] | None:
+        """Per column ``c``: the output block reads hidden rows ``[0, k_c)``.
+
+        ``k_c`` counts the last hidden layer's units of degree below ``c``
+        (the input units of columns ``< c`` without hidden layers).  Units
+        are listed in degree order, so the block's mask is exactly that row
+        prefix: every row past it is masked out.
+
+        ``None`` when one dense masked product is cheaper: the compiled plan
+        and the lowered step then run one GEMM instead of one per block.
+        Skipping pays only when each block's call skips enough weights
+        (:data:`MIN_SKIPPED_PER_BLOCK` on average) to cover a GEMM call of
+        its own.
+        """
+        rows = self.output_layer.in_features
+        skipped = sum((rows - live) * block.output_width
+                      for live, block in zip(self._row_limits, self.blocks))
+        if skipped < MIN_SKIPPED_PER_BLOCK * self.num_columns:
+            return None
+        return list(self._row_limits)
+
+    def order_units_by_degree(self) -> None:
+        """Relabel parameters laid out in draw order into degree order.
+
+        Unit ``j`` of a hidden layer is drawn with degree ``j mod (N - 1)``.
+        A stable argsort of those degrees moves the layer's weight columns
+        and bias, and the next layer's weight rows, so the network computes
+        the same function with its units listed in degree order.  Runs once
+        on the freshly drawn layers; the registry also runs it on parameters
+        saved before units were ordered.  Skip-linked ResMADE layers have
+        equal degrees, hence one shared permutation.
+        """
+        max_degree = max(self.num_columns - 1, 1)
+        layers = [*self._layers, self.output_layer]
+        for index, size in enumerate(self.hidden_sizes):
+            order = np.argsort(np.arange(size) % max_degree, kind="stable")
+            layer, above = layers[index], layers[index + 1]
+            layer.weight.data = layer.weight.data[:, order]
+            layer.bias.data = layer.bias.data[order]
+            above.weight.data = above.weight.data[order]
 
     def output_block_slices(self) -> list[tuple[int, int]]:
         """Per-column ``(start, end)`` logit slices, for the fused zero-out."""

@@ -44,6 +44,9 @@ _SCHEMA_FILE = "schema.npz"
 _MANIFEST_FILE = "manifest.json"
 _QUARANTINE_DIR = ".quarantine"
 _VERSION_PATTERN = re.compile(r"^v(\d+)$")
+#: model metadata marking MADE parameters saved with units in degree order;
+#: archives without it hold them in draw order and are relabeled on load
+_MADE_UNITS = "degree-ordered"
 
 
 def _file_checksum(path: Path) -> str:
@@ -279,7 +282,8 @@ class ModelRegistry:
 
             model_metadata = {"config": _config_to_dict(model.config),
                               "dataset": dataset, "version": version,
-                              "data_version": data_version}
+                              "data_version": data_version,
+                              "made_units": _MADE_UNITS}
             if compile_options is not None:
                 model_metadata["compile_options"] = compile_options.to_dict()
             save_module(model, directory / _MODEL_FILE, metadata=model_metadata)
@@ -544,6 +548,8 @@ class ModelRegistry:
         metadata = load_metadata(entry.model_path)
         model = DuetModel(table, _config_from_dict(metadata["config"]))
         load_module(model, entry.model_path)
+        if metadata.get("made_units") != _MADE_UNITS:
+            model.made.order_units_by_degree()  # saved in draw order
         model.eval()
         return model, metadata
 

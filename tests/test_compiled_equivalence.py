@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro.core import (
+    CompiledDuetModel,
     DuetConfig,
     DuetEstimator,
     DuetModel,
@@ -84,6 +85,20 @@ class TestCompiledEquivalence:
         # float32 resolution, far below the model's own estimation error:
         # relative to the estimate itself, with a one-row absolute floor.
         np.testing.assert_allclose(compiled, tape, rtol=5e-4, atol=5e-4)
+
+    @pytest.mark.parametrize("name", ["plain", "onehot", "embedding"])
+    def test_table_gather_encode_equals_the_tape_encoding(self, table, name):
+        """Every single-predicate model encodes by table gathers, embedding
+        columns included; the result equals ``encode_batch`` exactly."""
+        config = CONFIGS[name]
+        model = DuetModel(table, config)
+        compiled = CompiledDuetModel(model)
+        assert compiled._fast_encode
+        if name == "embedding":
+            assert model._embedding_columns
+        values, ops, _ = model.codec.translate_batch(_workload(table, config).queries)
+        np.testing.assert_array_equal(compiled.encode(values, ops),
+                                      model.encode_batch(values, ops).numpy())
 
     def test_compile_is_sticky_and_refreshable(self, table):
         model = DuetModel(table, CONFIGS["plain"])

@@ -109,6 +109,25 @@ class TestEndToEndLifecycle:
                 reloaded.estimate_batch(workload.queries),
                 service.estimate_batch(workload.queries), rtol=1e-9)
 
+    def test_committed_model_carries_no_gradients(self, store, tmp_path):
+        """A served version holds parameters only: training's last-step
+        gradients (one parameter-sized set) are dropped when it returns."""
+        base = store.snapshot()
+        model = DuetModel(base, CONFIG)
+        DuetTrainer(model, base, config=CONFIG).train(1)
+        assert all(parameter.grad is None for parameter in model.parameters())
+        registry = ModelRegistry(tmp_path)
+        registry.save(model, dataset="lifecycle")
+        committed = []
+        with EstimationService.from_registry(registry, "lifecycle",
+                                             store=store) as service:
+            _append_in_domain(store, 60, seed=3)
+            outcome = service.tune(gate=lambda candidate: committed.append(candidate)
+                                   or True)
+            assert outcome.status == "swapped", outcome.error
+            assert service.estimator.model is committed[0]
+        assert all(parameter.grad is None for parameter in committed[0].parameters())
+
     def test_refresh_without_appends_is_noop(self, store, tmp_path):
         base = store.snapshot()
         model = DuetModel(base, CONFIG)

@@ -145,6 +145,40 @@ class TestLowering:
             expected = made(Tensor(x)).numpy()
         np.testing.assert_allclose(plan.run(x), expected, rtol=1e-12)
 
+    @staticmethod
+    def _dense_twin(plan, dtype):
+        """The plan's stages with every row limit dropped: plain folded GEMMs."""
+        return ForwardPlan([StageSpec(stage.weight, stage.bias, stage.activation,
+                                      stage.residual_from) for stage in plan.stages],
+                           PlanOptions(dtype=dtype))
+
+    @pytest.mark.parametrize("hidden_sizes", [[32, 64], []], ids=["hidden", "no-hidden"])
+    def test_prefix_output_stage_equals_dense_folded_gemm(self, hidden_sizes,
+                                                          monkeypatch):
+        monkeypatch.setattr(nn.made, "MIN_SKIPPED_PER_BLOCK", 0)
+        made = nn.MADE(input_bins=[3, 2, 4, 2, 5], output_bins=[4, 7, 5, 3, 6],
+                       hidden_sizes=hidden_sizes, seed=2)
+        plan = lower_module(made)
+        output = plan.stages[-1]
+        assert output.row_limits == tuple(
+            (rows, block.output_start, block.output_end)
+            for rows, block in zip(made.output_row_limits(), made.blocks))
+        dense = self._dense_twin(plan, "float64")
+        x = np.random.default_rng(7).normal(size=(9, made.total_input))
+        expected = dense.run(x).copy()
+        np.testing.assert_allclose(plan.run(x), expected, rtol=1e-12, atol=1e-12)
+        plan32 = lower_module(made, PlanOptions(dtype="float32"))
+        np.testing.assert_allclose(plan32.run(x), expected, rtol=1e-4, atol=1e-4)
+        np.testing.assert_allclose(plan.run(x[:1]), expected[:1], rtol=1e-12, atol=1e-12)
+
+    def test_row_limits_must_tile_the_output_in_order(self):
+        weight = np.zeros((4, 6))
+        StageSpec(weight, None, row_limits=[(0, 0, 2), (4, 2, 6)])
+        for limits in ([(0, 0, 2), (4, 3, 6)], [(0, 0, 2), (5, 2, 6)],
+                       [(0, 0, 2), (4, 2, 5)], [(4, 2, 6), (0, 0, 2)]):
+            with pytest.raises(ValueError):
+                StageSpec(weight, None, row_limits=limits)
+
     def test_unloerable_module_rejected(self):
         with pytest.raises(TypeError):
             lower_module(nn.LSTM(4, 4))

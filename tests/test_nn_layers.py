@@ -5,7 +5,7 @@ import pytest
 
 from repro import nn
 from repro.nn import functional as F
-from repro.nn import Tensor
+from repro.nn import Tensor, lower_module
 
 
 class TestLinear:
@@ -258,6 +258,88 @@ class TestMADE:
         np.testing.assert_allclose(
             made(Tensor(base)).numpy()[:, :3],
             made(Tensor(perturbed)).numpy()[:, :3])
+
+    @staticmethod
+    def _unordered_forward(made, seed, inputs):
+        """The network as drawn, before its units were put in degree order.
+
+        Undoes each hidden layer's relabeling by the inverse permutation,
+        checks the result against fresh draws from the same seed, and runs
+        it with the unordered degrees' masks.
+        """
+        rng = np.random.default_rng(seed)
+        max_degree = max(made.num_columns - 1, 1)
+        degrees = [np.concatenate([np.full(width, column) for column, width
+                                   in enumerate(made.input_bins)])]
+        degrees += [np.arange(size) % max_degree for size in made.hidden_sizes]
+        inverses = [None] + [np.argsort(np.argsort(hidden, kind="stable"))
+                             for hidden in degrees[1:]]
+        output_degrees = np.concatenate([np.full(width, column) for column, width
+                                         in enumerate(made.output_bins)])
+        layers = [*made._layers, made.output_layer]
+        hidden = inputs
+        for index, layer in enumerate(layers):
+            weight, bias = layer.weight.data, layer.bias.data
+            if index + 1 < len(layers):
+                weight, bias = weight[:, inverses[index + 1]], bias[inverses[index + 1]]
+            if inverses[index] is not None:
+                weight = weight[inverses[index]]
+            drawn = nn.MaskedLinear(*weight.shape, rng=rng)
+            np.testing.assert_array_equal(weight, drawn.weight.data)
+            np.testing.assert_array_equal(bias, drawn.bias.data)
+            below = degrees[index]
+            if index + 1 < len(layers):
+                mask = degrees[index + 1][None, :] >= below[:, None]
+                activated = np.maximum(hidden @ (weight * mask) + bias, 0.0)
+                hidden = activated + hidden if made.skips[index] else activated
+            else:
+                mask = output_degrees[None, :] > below[:, None]
+                return hidden @ (weight * mask) + bias
+
+    @pytest.mark.parametrize("bins, hidden_sizes, residual", [
+        ([2, 3, 2, 4], [24, 16, 16], False),
+        ([2, 3, 2, 4], [20, 20, 20], True),
+        ([5], [8, 8], False),
+    ], ids=["made", "resmade", "one-column"])
+    def test_degree_order_keeps_the_unordered_function(self, bins, hidden_sizes,
+                                                        residual):
+        made = nn.MADE(input_bins=bins, output_bins=[width + 1 for width in bins],
+                       hidden_sizes=hidden_sizes, residual=residual, seed=4)
+        if residual:
+            assert made.skips[1:] == [True, True]
+        inputs = np.random.default_rng(1).normal(size=(6, sum(bins)))
+        np.testing.assert_allclose(made(Tensor(inputs)).numpy(),
+                                   self._unordered_forward(made, 4, inputs),
+                                   rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("bins, hidden_sizes", [
+        ([2, 3, 2, 4], [24, 16, 13]), ([5], [8]), ([2, 3, 2], [])])
+    def test_output_block_masks_are_row_prefixes(self, bins, hidden_sizes, monkeypatch):
+        monkeypatch.setattr(nn.made, "MIN_SKIPPED_PER_BLOCK", 0)
+        made = nn.MADE(input_bins=bins, output_bins=[width + 1 for width in bins],
+                       hidden_sizes=hidden_sizes, seed=0)
+        limits = made.output_row_limits()
+        rows = made.output_layer.in_features
+        assert limits == sorted(limits) and limits[0] == 0
+        for block, live in zip(made.blocks, limits):
+            expected = np.zeros((rows, block.output_width))
+            expected[:live] = 1.0
+            np.testing.assert_array_equal(
+                made.output_layer.mask[:, block.output_start:block.output_end], expected)
+        if len(bins) == 1:
+            assert limits == [0]
+
+    def test_row_prefixes_only_where_they_skip_enough(self):
+        """A DMV-shaped output layer reads degree prefixes; a census-shaped
+        one (~2.3k masked-out weights per block) keeps one dense product."""
+        made = nn.MADE(input_bins=[2] * 11, output_bins=[500] * 11,
+                       hidden_sizes=[16, 1024], seed=0)
+        assert made.output_row_limits() == [0, 103, 206, 309, 412, 514, 616,
+                                            718, 820, 922, 1024]
+        small = nn.MADE(input_bins=[2] * 14, output_bins=[44] * 14,
+                        hidden_sizes=[128, 128], residual=True, seed=0)
+        assert small.output_row_limits() is None
+        assert lower_module(small).stages[-1].row_limits is None
 
     def test_invalid_configuration(self):
         with pytest.raises(ValueError):

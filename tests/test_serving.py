@@ -6,6 +6,7 @@ registry save -> load -> identical-estimates round trip, plus service-level
 end-to-end behaviour and stats.
 """
 
+import json
 import threading
 import time
 
@@ -23,6 +24,7 @@ from repro.serving import (
     QueryKeyEncoder,
     TableSchema,
 )
+from repro.serving.registry import load_metadata
 from repro.workload import Query, make_random_workload
 
 
@@ -174,6 +176,35 @@ class TestModelRegistry:
         workload = make_random_workload(table, num_queries=60, seed=5)
         assert np.array_equal(estimator.estimate_batch(workload.queries),
                               reloaded.estimate_batch(workload.queries))
+
+    def test_loads_models_saved_with_units_in_draw_order(self, tmp_path, table,
+                                                         estimator):
+        """An archive without the ``made_units`` marker holds MADE's hidden
+        units in draw order (as saved before they were listed in degree
+        order); loading relabels them, so it serves the same estimates."""
+        registry = ModelRegistry(tmp_path)
+        entry = registry.save(estimator.model, dataset="tiny")
+        model = estimator.model
+        made = model.made
+        names = {id(parameter): name for name, parameter in model.named_parameters()}
+        state = model.state_dict()
+        layers = [*made._layers, made.output_layer]
+        max_degree = max(made.num_columns - 1, 1)
+        for index, size in enumerate(made.hidden_sizes):
+            inverse = np.argsort(np.argsort(np.arange(size) % max_degree, kind="stable"))
+            for parameter, permute in ((layers[index].weight, lambda a: a[:, inverse]),
+                                       (layers[index].bias, lambda a: a[inverse]),
+                                       (layers[index + 1].weight, lambda a: a[inverse])):
+                state[names[id(parameter)]] = permute(state[names[id(parameter)]])
+        metadata = load_metadata(entry.model_path)
+        del metadata["made_units"]
+        payload = {name.replace(".", "/"): value for name, value in state.items()}
+        np.savez(entry.model_path, __metadata__=np.array(json.dumps(metadata)),
+                 **payload)
+        reloaded = registry.load_estimator("tiny")
+        for (name, expected), actual in zip(model.named_parameters(),
+                                            reloaded.model.parameters()):
+            np.testing.assert_array_equal(actual.data, expected.data, err_msg=name)
 
     def test_schema_table_refuses_data_access(self, tmp_path, table, estimator):
         registry = ModelRegistry(tmp_path)

@@ -128,6 +128,30 @@ def test_query_loss_gradients_match_the_tape(table, workload, name):
     assert actual.raw_qerror == pytest.approx(expected.raw_qerror, rel=RTOL)
 
 
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_row_prefix_output_gradients_match_the_tape(table, workload, name, monkeypatch):
+    """The output layer read by row prefixes (forward) and as a staircase
+    (backward), which these small models only take with the threshold off."""
+    assert _twins(table, _config(name))[1]._lowered._output_mask is not None
+    monkeypatch.setattr(nn.made, "MIN_SKIPPED_PER_BLOCK", 0)
+    config = _config(name, lambda_query=0.5)
+    tape, lowered = _twins(table, config, training_workload=workload,
+                           negative_codes=table.code_matrix(np.arange(500, 530)))
+    assert lowered._lowered._output_mask is None
+    for trainer in (tape, lowered):
+        trainer._negative_margin = 1e3
+    codes = table.code_matrix(np.arange(48))
+    for _ in range(2):  # the second step reuses the zeroed gradient buffer
+        expected, actual = _step_both(tape, lowered, codes)
+        _assert_same_gradients(tape, lowered)
+        tape.optimizer.step()
+        lowered.optimizer.step()
+    assert actual.data_loss == pytest.approx(expected.data_loss, rel=RTOL)
+    assert actual.query_loss == pytest.approx(expected.query_loss, rel=RTOL)
+    weight_grad = lowered.model.made.output_layer.weight.grad
+    assert not weight_grad[lowered.model.made.output_layer.mask == 0].any()
+
+
 def test_clipped_gradients_match_the_tape(table, workload):
     config = _config("resmade", lambda_query=0.5, grad_clip=0.05)
     tape, lowered = _twins(table, config, training_workload=workload)
