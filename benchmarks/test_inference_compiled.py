@@ -6,10 +6,10 @@ paper's DMV configuration (high-NDV table, 512-256-512-128-1024 MADE) is
 replayed in serving-sized micro-batches through three execution paths:
 
 * ``tape``             — the autograd ``Tensor`` path (training oracle);
-* ``compiled-float64`` — lowered plans, masks folded, fused masked
+* ``compiled-float64`` — lowered plans, masks folded, fused interval
   selectivity, reusable buffers;
 * ``compiled-float32`` — the same plans in single precision (the serving
-  default for throughput-critical deployments).
+  default).
 
 Asserted shape: the compiled float32 plan sustains >= 3x the tape path's
 batch-estimation throughput (the ISSUE's acceptance bar), float64 compiled

@@ -23,7 +23,13 @@ from .config import (
     small_table_config,
 )
 from .disjunction import conjoin, estimate_disjunction
-from .encoding import ColumnPredicateEncoder, QueryCodec, binary_width, resolve_value_strategy
+from .encoding import (
+    CodeIntervals,
+    ColumnPredicateEncoder,
+    QueryCodec,
+    binary_width,
+    resolve_value_strategy,
+)
 from .estimator import DuetEstimator
 from .interface import CardinalityEstimator
 from .model import DuetModel
@@ -40,6 +46,7 @@ __all__ = [
     "dmv_config",
     "small_table_config",
     "QueryCodec",
+    "CodeIntervals",
     "ColumnPredicateEncoder",
     "binary_width",
     "resolve_value_strategy",

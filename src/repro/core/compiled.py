@@ -11,10 +11,12 @@ into pure-array form:
 * a single-predicate model encodes by table gathers alone: operator
   features and each column's value features (an embedding column's
   snapshotted embedding matrix) are lookup tables, and
-* Algorithm 3's zero-out runs through the fused
-  :func:`~repro.nn.masked_block_mass` kernel — constrained columns get their
-  masked probability mass straight from the logits, unconstrained columns
-  are skipped entirely.
+* Algorithm 3's zero-out runs on code intervals, not masks: translation
+  gives each (query, constrained column) an inclusive ``[low, high]`` code
+  range (:class:`~repro.core.encoding.CodeIntervals`), and the fused
+  :func:`~repro.nn.interval_block_mass` kernel sums each column's softmax
+  mass over it straight from the logits.  Unconstrained columns are skipped
+  entirely, and no dense ``batch × NDV`` mask is ever built.
 
 Weights, codec and row count are captured at compile time: training the
 model afterwards does not change a plan — call
@@ -37,10 +39,10 @@ from typing import Sequence
 import numpy as np
 
 from ..nn import ForwardPlan, PlanOptions, no_grad
-from ..nn.inference import masked_block_mass
+from ..nn.inference import interval_block_mass
 from ..nn.tensor import Tensor
 from ..workload.query import Query
-from .encoding import NUM_OPERATORS, OPERATOR_FEATURE_WIDTH
+from .encoding import NUM_OPERATORS, OPERATOR_FEATURE_WIDTH, CodeIntervals
 from .model import DuetModel
 from .mpsn import MLPMPSN, MergedMLPInference, build_mpsn
 
@@ -283,18 +285,22 @@ class CompiledDuetModel:
             self.phase_calls["forward"] += 1
 
     def selectivity_from_logits(self, logits: np.ndarray,
-                                masks: list[np.ndarray | None]) -> np.ndarray:
+                                intervals: CodeIntervals) -> np.ndarray:
         """Fused zero-out product; returns a fresh ``(batch,)`` float64 array."""
         if not self._profile:
-            mass = masked_block_mass(logits, self.blocks, masks)
-            return np.asarray(mass, dtype=np.float64)
+            return self._interval_mass(logits, intervals)
         started = time.perf_counter()
         try:
-            mass = masked_block_mass(logits, self.blocks, masks)
-            return np.asarray(mass, dtype=np.float64)
+            return self._interval_mass(logits, intervals)
         finally:
             self.phase_seconds["mask"] += time.perf_counter() - started
             self.phase_calls["mask"] += 1
+
+    def _interval_mass(self, logits: np.ndarray,
+                       intervals: CodeIntervals) -> np.ndarray:
+        mass = interval_block_mass(logits, self.blocks, intervals.columns,
+                                   intervals.low, intervals.high)
+        return np.asarray(mass, dtype=np.float64)
 
     def estimate_with_breakdown(self, queries: Sequence[Query]
                                 ) -> tuple[np.ndarray, EstimationBreakdown]:
@@ -309,12 +315,13 @@ class CompiledDuetModel:
             return np.zeros(0, dtype=np.float64), EstimationBreakdown.from_marks(
                 0.0, 0.0, 0.0, 0.0)
         start = time.perf_counter()
-        values, ops, masks = self.codec.translate_batch(queries)
+        values, ops, intervals = self.codec.translate_batch(queries)
         translated = time.perf_counter()
         with self.lock:
             encoded = self.encode(values, ops)
             encoded_at = time.perf_counter()
-            selectivity = self.selectivity_from_logits(self.logits(encoded), masks)
+            selectivity = self.selectivity_from_logits(self.logits(encoded),
+                                                       intervals)
             inferred = time.perf_counter()
         estimates = np.clip(selectivity, 0.0, 1.0) * self.num_rows
         return estimates, EstimationBreakdown.from_marks(start, translated,

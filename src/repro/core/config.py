@@ -162,15 +162,17 @@ class ServingConfig:
     inference_dtype:
         Arithmetic precision of the serving plan — the service always runs
         every forward pass through a grad-free
-        :class:`~repro.core.CompiledDuetModel` (masks folded, fused masked
+        :class:`~repro.core.CompiledDuetModel` (masks folded, fused interval
         selectivity, buffers reused across micro-batches), leaving the
         estimator's own tape path untouched as the equivalence oracle.
-        ``"float64"`` matches the tape path to ~1e-15 relative; ``"float32"``
-        halves the memory traffic and agrees to ~1e-5 relative — far below
-        the model's own estimation error.  ``None`` (the default) defers to
-        the estimator's own compile options — e.g. the dtype persisted in
-        the model registry — falling back to ``"float64"`` when the
-        estimator carries none.
+        ``"float32"`` is the serving default: it halves the weight bytes a
+        pass reads and agrees with the tape to within 1e-5 relative, far
+        below the model's own estimation error.  ``"float64"`` matches the
+        tape path to ~1e-15 relative and remains for the oracle.  ``None``
+        (the default) defers to the estimator's own compile options — e.g.
+        the dtype persisted in the model registry — falling back to the
+        ``PlanOptions()`` default, ``"float32"``, when the estimator
+        carries none.
     refresh_epochs:
         Fine-tuning epochs one ``EstimationService.refresh()`` runs over the
         appended rows (plus replay) before hot-swapping the model.

@@ -36,6 +36,7 @@ __all__ = [
     "resolve_value_strategy",
     "ColumnPredicateEncoder",
     "CanonicalPredicate",
+    "CodeIntervals",
     "QueryCodec",
 ]
 
@@ -93,6 +94,49 @@ class CanonicalPredicate:
     code: int
 
 
+@dataclass(frozen=True)
+class CodeIntervals:
+    """The code interval each query of a batch admits on each constrained column.
+
+    Duet's predicates (``=, <, <=, >, >=``) and any AND of them on one column
+    select one inclusive code interval, so Algorithm 3's zero-out needs two
+    integers per (query, column), not a dense mask over the domain.
+    ``columns`` lists, ascending, the columns some query of the batch
+    constrains; ``low[q, j]``/``high[q, j]`` bound the codes query ``q``
+    admits on ``columns[j]``.  A query that leaves that column free gets its
+    full domain ``[0, NDV - 1]``, and an unsatisfiable conjunction has
+    ``low > high``.  Columns no query constrains are absent: their factor is
+    exactly 1.
+    """
+
+    columns: np.ndarray
+    low: np.ndarray
+    high: np.ndarray
+    #: NDV of every column of the table (not only the constrained ones)
+    num_distinct: np.ndarray
+
+    def take(self, rows: np.ndarray) -> "CodeIntervals":
+        """The intervals of a subset of the batch's queries (same columns)."""
+        return CodeIntervals(self.columns, self.low[rows], self.high[rows],
+                             self.num_distinct)
+
+    def dense_masks(self) -> list[np.ndarray | None]:
+        """Per-column float64 ``(batch, NDV)`` valid-value masks.
+
+        The one derivation of dense masks, for the differentiable paths (the
+        tape and the training steps): ``None`` for a column no query
+        constrains, else element ``[q, code]`` is 1 when ``code`` lies in
+        ``[low[q], high[q]]``.
+        """
+        masks: list[np.ndarray | None] = [None] * self.num_distinct.size
+        for slot, column in enumerate(self.columns):
+            codes = np.arange(self.num_distinct[column])
+            admitted = ((codes >= self.low[:, slot, None])
+                        & (codes <= self.high[:, slot, None]))
+            masks[column] = admitted.astype(np.float64)
+        return masks
+
+
 class ColumnPredicateEncoder:
     """Encodes the predicates of one column into its fixed-width block."""
 
@@ -148,7 +192,7 @@ class ColumnPredicateEncoder:
 
 
 class QueryCodec:
-    """Translates :class:`Query` objects into code-space arrays and masks."""
+    """Translates :class:`Query` objects into code-space arrays and intervals."""
 
     def __init__(self, table: Table, config: DuetConfig) -> None:
         self.table = table
@@ -161,9 +205,6 @@ class QueryCodec:
         ]
         self._ndv = np.array([column.num_distinct for column in table.columns],
                              dtype=np.int64)
-        #: global code axis: column i owns codes [offset[i], offset[i+1])
-        self._mask_offsets = np.concatenate([[0], np.cumsum(self._ndv)])
-        self._global_codes = np.arange(int(self._mask_offsets[-1]))
         #: per-column literal -> (left, right) searchsorted cache; serving
         #: traffic repeats literals heavily, and a dict hit is ~20x cheaper
         #: than even a vectorised searchsorted share
@@ -258,30 +299,27 @@ class QueryCodec:
         return grouped
 
     # ------------------------------------------------------------------
-    def translate_batch(self, queries: list[Query], enforce_slots: bool = True,
-                        with_masks: bool = True
-                        ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray | None]]:
-        """One-pass batched translation: ``(values, ops, masks)``.
+    def translate_batch(self, queries: list[Query], enforce_slots: bool = True
+                        ) -> tuple[np.ndarray, np.ndarray, CodeIntervals]:
+        """One-pass batched translation: ``(values, ops, intervals)``.
 
         The serving hot path: every predicate's code interval is computed
         exactly once (per-column *vectorised* ``searchsorted`` over all
         literals in the batch instead of two scalar calls per predicate) and
-        both the canonical code arrays and the zero-out masks are derived
-        from the same intervals.  Semantics match :meth:`canonicalize` /
-        :meth:`zero_out_masks` element for element.
+        both the canonical code arrays and the per-(query, column)
+        :class:`CodeIntervals` are derived from the same intervals.
+        Semantics match :meth:`canonicalize` / :meth:`zero_out_masks`
+        element for element.
 
         ``enforce_slots=False`` silently drops canonical predicates beyond
-        the slot budget instead of raising — the zero-out masks are always
+        the slot budget instead of raising — the intervals are always
         defined even for queries the code arrays cannot represent.
-        ``with_masks=False`` skips mask construction entirely (the returned
-        mask list is all-``None``) for callers that only need code arrays.
         """
         batch = len(queries)
         num_columns = self.table.num_columns
         shape = (batch, num_columns, self.max_predicates)
         values = np.full(shape, -1, dtype=np.int64)
         ops = np.full(shape, -1, dtype=np.int64)
-        masks: list[np.ndarray | None] = [None] * num_columns
 
         # Flatten every predicate of the batch into parallel lists (queries
         # outer, predicates inner — the order slot assignment relies on).
@@ -297,7 +335,8 @@ class QueryCodec:
                 kinds.append(_OP_INDEX[predicate.operator])
                 literals.append(predicate.value)
         if not query_rows:
-            return values, ops, masks
+            none = np.zeros(0, dtype=np.int64)
+            return values, ops, self._intervals(batch, none, none, none, none)
         qi = np.asarray(query_rows, dtype=np.int64)
         ci = np.asarray(column_rows, dtype=np.int64)
         kind = np.asarray(kinds, dtype=np.int64)
@@ -356,8 +395,11 @@ class QueryCodec:
         #: predicates whose interval covers the whole domain constrain nothing
         whole_domain = (low == 0) & (high == last)
 
-        if with_masks:
-            self._build_masks(batch, qi, ci, low, high, whole_domain, masks)
+        # Whole-domain predicates bound nothing: a column whose predicates
+        # all cover its domain stays unconstrained (exact factor 1).
+        bounding = ~whole_domain
+        intervals = self._intervals(batch, qi[bounding], ci[bounding],
+                                    low[bounding], high[bounding])
 
         # Canonical (operator, code) pairs — vectorised `canonicalize`.
         # Later assignments override earlier ones, so the priority order is
@@ -380,7 +422,7 @@ class QueryCodec:
         # among kept predicates, in predicate order (stable sort preserves it).
         kept = np.flatnonzero(canonical_op >= 0)
         if not kept.size:
-            return values, ops, masks
+            return values, ops, intervals
         order = kept[np.argsort(qi[kept] * num_columns + ci[kept], kind="stable")]
         rows, cols = qi[order], ci[order]
         same = ~_run_starts(rows * num_columns + cols)
@@ -401,42 +443,28 @@ class QueryCodec:
                                         cols[within], slots[within])
         values[rows, cols, slots] = canonical_code[order]
         ops[rows, cols, slots] = canonical_op[order]
-        return values, ops, masks
+        return values, ops, intervals
 
-    def _build_masks(self, batch: int, qi: np.ndarray, ci: np.ndarray,
-                     low: np.ndarray, high: np.ndarray,
-                     whole_domain: np.ndarray,
-                     masks: list[np.ndarray | None]) -> None:
-        """Zero-out masks: one (batch, sum NDV) matrix over the global code
-        axis, ANDed per query with a single reduceat — constrained columns
-        become views into it, unconstrained columns stay ``None``.  A
-        predicate's row is its interval inside its own column's segment and
-        all-ones everywhere else, so predicates on different columns combine
-        without touching each other's segments.
+    def _intervals(self, batch: int, qi: np.ndarray, ci: np.ndarray,
+                   low: np.ndarray, high: np.ndarray) -> CodeIntervals:
+        """Intersect the bounding predicates' intervals per (query, column).
+
+        Every predicate must bound its column (no whole-domain ones): the
+        columns it names are the batch's constrained columns.  Each starts
+        at the full domain; ANDed predicates narrow it with
+        ``np.maximum.at`` / ``np.minimum.at``.
         """
-        offsets = self._mask_offsets
-        codes = self._global_codes
-        block_lo = offsets[ci]
-        satisfied = ((codes >= (low + block_lo)[:, None])
-                     & (codes <= (high + block_lo)[:, None])
-                     | (codes < block_lo[:, None])
-                     | (codes >= offsets[ci + 1][:, None]))
-        query_first = _run_starts(qi)  # qi is non-decreasing by construction
-        if query_first.all():
-            reduced = satisfied
-            constrained_rows = qi
-        else:
-            starts = np.flatnonzero(query_first)
-            reduced = np.logical_and.reduceat(satisfied, starts, axis=0)
-            constrained_rows = qi[starts]
-        global_mask = np.ones((batch, codes.size), dtype=np.float64)
-        global_mask[constrained_rows] = reduced
-        # Whole-domain predicates contribute all-ones rows; a column whose
-        # only predicates are whole-domain is NOT constrained — it keeps the
-        # ``None`` sentinel so the selectivity paths skip it exactly.
-        for column_index in np.unique(ci[~whole_domain]):
-            begin, stop = offsets[column_index], offsets[column_index + 1]
-            masks[column_index] = global_mask[:, begin:stop]
+        constrained = np.zeros(self._ndv.size, dtype=bool)
+        constrained[ci] = True
+        columns = np.flatnonzero(constrained)
+        bounds_low = np.zeros((batch, columns.size), dtype=np.int64)
+        bounds_high = np.empty((batch, columns.size), dtype=np.int64)
+        bounds_high[:] = self._ndv[columns] - 1
+        if ci.size:
+            at = (qi, (np.cumsum(constrained) - 1)[ci])
+            np.maximum.at(bounds_low, at, low)
+            np.minimum.at(bounds_high, at, high)
+        return CodeIntervals(columns, bounds_low, bounds_high, self._ndv)
 
     # ------------------------------------------------------------------
     def queries_to_code_arrays(self, queries: list[Query]
@@ -446,7 +474,7 @@ class QueryCodec:
         Both arrays have shape ``(batch, num_columns, max_predicates)`` and
         use ``-1`` for "no predicate in this slot".
         """
-        values, ops, _ = self.translate_batch(queries, with_masks=False)
+        values, ops, _ = self.translate_batch(queries)
         return values, ops
 
     def zero_out_masks(self, queries: list[Query]) -> list[np.ndarray | None]:
@@ -460,5 +488,5 @@ class QueryCodec:
         the code satisfies every predicate the query places on the column
         (rows of queries that leave the column unconstrained stay all-ones).
         """
-        _, _, masks = self.translate_batch(queries, enforce_slots=False)
-        return masks
+        _, _, intervals = self.translate_batch(queries, enforce_slots=False)
+        return intervals.dense_masks()

@@ -1,16 +1,18 @@
 """Algorithm 3: sampling-free cardinality estimation with a single forward pass.
 
-Two execution paths share the same query translation and zero-out masks:
+Two execution paths share the same query translation and code intervals:
 
 * the **compiled path** runs a lowered
   :class:`~repro.core.compiled.CompiledDuetModel` — masks folded, buffers
-  reused, fused masked selectivity, optional ``float32``.  It is the one
+  reused, fused interval selectivity, ``float32`` unless asked otherwise.  It is the one
   path the serving layer drives (:meth:`DuetEstimator.plan_for` hands it the
   plan), and :meth:`DuetEstimator.compile` makes it this estimator's
   default too;
 * the **tape path** runs through the autograd :class:`~repro.nn.Tensor`
   graph — differentiable, used for training and as the equivalence oracle
-  (``estimate_batch_with_breakdown(..., compiled=False)``).
+  (``estimate_batch_with_breakdown(..., compiled=False)``); it zeroes out
+  with the dense masks the intervals derive
+  (:meth:`~repro.core.encoding.CodeIntervals.dense_masks`).
 """
 
 from __future__ import annotations
@@ -125,7 +127,8 @@ class DuetEstimator(CardinalityEstimator):
             return np.zeros(0, dtype=np.float64), EstimationBreakdown.from_marks(
                 0.0, 0.0, 0.0, 0.0)
         start = time.perf_counter()
-        values, ops, masks = model.codec.translate_batch(queries)
+        values, ops, intervals = model.codec.translate_batch(queries)
+        masks = intervals.dense_masks()
         translated = time.perf_counter()
         model.eval()
         with no_grad():

@@ -18,7 +18,7 @@ lowers to a handful of GEMMs with a hand-written backward:
 * **loss** — per-column cross-entropy and, for the hybrid query loss, the
   zero-out product of Algorithm 3 are computed column block by column block
   in place on the logits, which then hold ``dL/dlogits``.  (``reduceat``
-  segments, as in ``masked_block_mass``, would need a rows × outputs
+  segments, as in ``interval_block_mass``, would need a rows × outputs
   scratch to spread each block's maximum and sum back over its width:
   ~90 MB per DMV step);
 * **backward** — masked dense + ReLU + residual: ``dW = (Xᵀ·dY) ⊙ mask``,

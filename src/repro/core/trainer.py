@@ -137,8 +137,11 @@ class DuetTrainer:
         if self.hybrid:
             # Pre-translate the training workload once; batches are sliced per
             # step, which is much cheaper than re-encoding queries every step.
-            values, ops, masks = self.model.codec.translate_batch(self.workload.queries)
-            self._query_arrays = (values, ops, masks,
+            # Only the code intervals are kept (O(queries × columns)); each
+            # step derives the dense masks of its own sampled queries.
+            values, ops, intervals = self.model.codec.translate_batch(
+                self.workload.queries)
+            self._query_arrays = (values, ops, intervals,
                                   np.asarray(self.workload.cardinalities, dtype=np.float64))
         #: the lowered training step for models without MPSNs; MPSN models
         #: train on the autograd tape
@@ -158,12 +161,11 @@ class DuetTrainer:
             yield self._codes[order[start:start + self.config.batch_size]]
 
     def _query_batch(self):
-        values, ops, masks, cards = self._query_arrays
+        values, ops, intervals, cards = self._query_arrays
         count = min(self.config.query_batch_size, values.shape[0])
         picked = self._rng.choice(values.shape[0], size=count, replace=False)
-        # None marks a column no query constrains (see zero_out_masks).
-        picked_masks = [mask[picked] if mask is not None else None for mask in masks]
-        return values[picked], ops[picked], picked_masks, cards[picked]
+        masks = intervals.take(picked).dense_masks()
+        return values[picked], ops[picked], masks, cards[picked]
 
     # ------------------------------------------------------------------
     def _data_loss(self, batch_codes: np.ndarray) -> Tensor:
@@ -391,7 +393,7 @@ class DuetTrainer:
         """
         if not workload.is_labeled:
             workload.label(self.table)
-        values, ops, masks = self.model.codec.translate_batch(workload.queries)
+        values, ops, intervals = self.model.codec.translate_batch(workload.queries)
         cards = np.asarray(workload.cardinalities, dtype=np.float64)
         losses: list[float] = []
         self.model.train()
@@ -400,7 +402,7 @@ class DuetTrainer:
             picked = self._rng.choice(values.shape[0], size=count, replace=False)
             outputs = self.model.forward(values[picked], ops[picked])
             selectivity = self.model.selectivity_from_outputs(
-                outputs, [mask[picked] if mask is not None else None for mask in masks])
+                outputs, intervals.take(picked).dense_masks())
             estimates = selectivity * float(self.table.num_rows)
             loss = F.mapped_qerror_loss(estimates, cards[picked]).mean()
             self.optimizer.zero_grad()

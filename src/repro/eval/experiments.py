@@ -451,6 +451,7 @@ def compiled_inference_cost(dataset: str = "dmv", batch_size: int = 8,
               for index in range(0, num_queries, batch_size)]
     model = DuetModel(table, config)
     estimator = DuetEstimator(model)
+    estimator_float64 = DuetEstimator(model).compile(PlanOptions(dtype="float64"))
     estimator_float32 = DuetEstimator(model).compile(PlanOptions(dtype="float32"))
 
     def sweep(runner_estimator, compiled):
@@ -467,7 +468,7 @@ def compiled_inference_cost(dataset: str = "dmv", batch_size: int = 8,
         return time.perf_counter() - started, encoding, inference, estimates
 
     paths = [("tape", estimator, False),
-             ("compiled-float64", estimator, True),
+             ("compiled-float64", estimator_float64, None),
              ("compiled-float32", estimator_float32, None)]
     all_estimates: dict[str, np.ndarray] = {}
     best: dict[str, tuple] = {}

@@ -6,7 +6,7 @@ networks, losses, and optimisers that the paper's models require.
 """
 
 from . import functional, inference, init
-from .inference import ForwardPlan, PlanOptions, StageSpec, lower_module, masked_block_mass
+from .inference import ForwardPlan, PlanOptions, StageSpec, interval_block_mass, lower_module
 from .layers import (
     LSTM,
     Embedding,
@@ -36,7 +36,7 @@ __all__ = [
     "PlanOptions",
     "StageSpec",
     "lower_module",
-    "masked_block_mass",
+    "interval_block_mass",
     "Module",
     "Linear",
     "MaskedLinear",

@@ -14,14 +14,17 @@ forward.  This module lowers a trained network *once* into a
   slices of the folded weight, skipping the masked-out rows,
 * output buffers are preallocated and reused across micro-batches
   (``np.dot(..., out=...)`` writes straight into them), and
-* arithmetic optionally runs in ``float32`` (half the memory traffic; the
-  paper's models are trained well within ``float32`` head-room).
+* arithmetic runs in ``float32`` by default (half the memory traffic; the
+  paper's models are trained well within ``float32`` head-room), or in
+  ``float64`` on request, for the equivalence oracle.
 
-The companion :func:`masked_block_mass` kernel fuses Algorithm 3's zero-out:
-it computes each constrained column's masked probability mass directly from
-the raw logits (stable ``exp``-shift, one masked row-sum against the full
-block sum) and skips unconstrained columns entirely — no dense softmax over
-every column, no all-ones masks.
+The companion :func:`interval_block_mass` kernel fuses Algorithm 3's
+zero-out.  A query's predicates on one column select one code interval, so
+the kernel takes two integer bounds per (query, column) instead of a dense
+valid-value mask.  It computes each constrained column's probability mass
+inside its interval directly from the raw logits (stable ``exp``-shift, one
+interval sum against the full block sum) and skips unconstrained columns
+entirely: no dense softmax over every column, and no mask over the domain.
 
 Plans are deliberately *not* thread-safe: buffers are shared across calls.
 Wrap concurrent use in a lock (see :class:`repro.core.compiled.CompiledDuetModel`).
@@ -39,7 +42,7 @@ __all__ = [
     "PlanOptions",
     "StageSpec",
     "ForwardPlan",
-    "masked_block_mass",
+    "interval_block_mass",
     "stable_softmax",
     "stable_sigmoid",
     "lower_module",
@@ -55,13 +58,16 @@ class PlanOptions:
 
     ``dtype`` selects the arithmetic precision of every stage:
 
-    * ``"float64"`` (default) — matches the tape path to ~1e-15 relative;
-    * ``"float32"`` — halves memory traffic; selectivities agree with the
-      tape path to roughly single-precision resolution (~1e-5 relative),
-      which is far below the model's own estimation error.
+    * ``"float32"`` (default) — the serving precision: half the weight
+      bytes a pass reads.  Selectivities agree with the tape path to
+      single-precision resolution (within 1e-5 relative, the benchmark
+      oracle's tolerance), far below the model's own estimation error;
+    * ``"float64"`` — matches the tape path to ~1e-15 relative.  It stays
+      for the equivalence oracle: tests that pin the plan to the tape ask
+      for it explicitly, and an archive saved with it keeps serving it.
     """
 
-    dtype: str = "float64"
+    dtype: str = "float32"
 
     def __post_init__(self) -> None:
         if self.dtype not in _DTYPES:
@@ -288,47 +294,60 @@ class ForwardPlan:
 # Fused masked selectivity (Algorithm 3's zero-out, straight from logits)
 # ----------------------------------------------------------------------
 
-def masked_block_mass(logits: np.ndarray,
-                      blocks: Sequence[tuple[int, int]],
-                      masks: Sequence[np.ndarray | None]) -> np.ndarray:
-    """Product over constrained columns of the masked softmax mass.
+def interval_block_mass(logits: np.ndarray,
+                        blocks: Sequence[tuple[int, int]],
+                        columns: Sequence[int] | np.ndarray,
+                        low: np.ndarray, high: np.ndarray) -> np.ndarray:
+    """Product over constrained columns of the softmax mass in a code interval.
 
     ``logits`` is the raw ``(batch, total_output)`` network output;
-    ``blocks[i] = (start, end)`` is column ``i``'s logit slice; ``masks[i]``
-    is either ``None`` (column unconstrained — skipped entirely, its factor
-    is exactly 1) or the dense ``(batch, NDV_i)`` valid-value mask.
+    ``blocks[i] = (start, end)`` is column ``i``'s logit slice.  ``columns``
+    lists the constrained columns, and ``low`` / ``high`` are their
+    ``(batch, len(columns))`` inclusive code bounds (``low > high`` is an
+    empty interval, factor 0).  Every other column is skipped: its factor is
+    exactly 1.
 
-    For each constrained column the masked probability mass is computed
+    For each constrained column the interval's probability mass is computed
     directly from the logits::
 
-        mass = sum_{v in mask} exp(l_v - m) / sum_v exp(l_v - m)
+        mass = sum_{low <= v <= high} exp(l_v - m) / sum_v exp(l_v - m)
 
-    All constrained blocks are gathered into one contiguous matrix and the
-    per-block max/sum/masked-sum run as ``reduceat`` segments, so the kernel
-    costs a fixed ~10 NumPy calls however many columns are constrained — no
-    full softmax distribution is materialised and nothing at all is computed
-    for unconstrained columns.  Returns a fresh ``(batch,)`` array.
+    The constrained blocks are gathered into one contiguous matrix; the
+    per-block max and sum run as ``reduceat`` segments along its rows, and
+    all interval sums as one ``reduceat`` over its flat view, each interval
+    a ``[begin, end)`` pair of flat indices.  So the kernel costs a fixed
+    ~15 NumPy calls however many columns are constrained, and nothing is
+    computed for unconstrained columns.  Returns a fresh ``(batch,)`` array.
     """
     logits = np.asarray(logits)
     batch = logits.shape[0]
-    dtype = logits.dtype
-    gathered = [(start, end, mask)
-                for (start, end), mask in zip(blocks, masks) if mask is not None]
-    if not gathered:
-        return np.ones(batch, dtype=dtype)
-    widths = np.array([end - start for start, end, _ in gathered])
-    segments = np.zeros(len(gathered), dtype=np.intp)
+    if not len(columns):
+        return np.ones(batch, dtype=logits.dtype)
+    spans = [blocks[column] for column in columns]
+    widths = np.array([end - start for start, end in spans])
+    segments = np.zeros(len(spans), dtype=np.intp)
     np.cumsum(widths[:-1], out=segments[1:])
-    shifted = np.concatenate([logits[:, start:end] for start, end, _ in gathered],
-                             axis=1)
+    total = int(widths.sum())
+    # One trailing element past the gathered blocks: an interval that starts
+    # past its block's last code (``low == NDV``) still has a valid index.
+    flat = np.empty(batch * total + 1, dtype=logits.dtype)
+    flat[-1] = 0.0
+    shifted = flat[:-1].reshape(batch, total)
+    np.concatenate([logits[:, start:end] for start, end in spans], axis=1,
+                   out=shifted)
     maxima = np.maximum.reduceat(shifted, segments, axis=1)
     shifted -= np.repeat(maxima, widths, axis=1)
     np.exp(shifted, out=shifted)
     denominator = np.add.reduceat(shifted, segments, axis=1)
-    mask_matrix = (gathered[0][2] if len(gathered) == 1
-                   else np.concatenate([mask for _, _, mask in gathered], axis=1))
-    np.multiply(shifted, mask_matrix, out=shifted)
-    numerator = np.add.reduceat(shifted, segments, axis=1)
+    # Interleaved [begin, end) pairs: reduceat's even results are the
+    # interval sums (an empty pair yields its first element; zeroed below).
+    empty = low > high
+    begin = np.arange(0, batch * total, total)[:, None] + segments + low
+    bounds = np.empty((batch, len(spans), 2), dtype=np.intp)
+    bounds[..., 0] = begin
+    bounds[..., 1] = np.where(empty, begin, begin + (high - low + 1))
+    numerator = np.add.reduceat(flat, bounds.reshape(-1))[::2].reshape(batch, -1)
+    numerator[empty] = 0.0
     numerator /= denominator
     return numerator.prod(axis=1)
 

@@ -148,7 +148,8 @@ class EstimationService:
         """Lower the estimator's current model into this service's plan.
 
         ``inference_dtype=None`` defers to the estimator's own options (e.g.
-        the dtype persisted in the registry); matching options share the
+        the dtype persisted in the registry), else to the ``PlanOptions()``
+        default, float32; matching options share the
         estimator's existing plan instead of building a second one.  The
         estimator's default path is never flipped.  All passes funnel
         through the single batcher thread, so plan buffers are reused batch
@@ -156,9 +157,10 @@ class EstimationService:
         """
         dtype = self.config.inference_dtype
         if dtype is None:
-            persisted = self.estimator.compile_options
-            dtype = persisted.dtype if persisted is not None else "float64"
-        plan = self.estimator.plan_for(PlanOptions(dtype=dtype))
+            options = self.estimator.compile_options or PlanOptions()
+        else:
+            options = PlanOptions(dtype=dtype)
+        plan = self.estimator.plan_for(options)
         if self.config.obs.profile_plan_stages:
             plan.enable_profiling(True)
         return plan

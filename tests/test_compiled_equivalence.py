@@ -20,7 +20,8 @@ from repro.core import (
     ServingConfig,
     build_mpsn,
 )
-from repro.data import make_census
+from repro import nn
+from repro.data import ColumnStore, make_census, make_dmv
 from repro.nn import PlanOptions, Tensor
 from repro.serving import EstimationService, ModelRegistry
 from repro.workload import make_multi_predicate_workload, make_random_workload
@@ -67,7 +68,7 @@ class TestCompiledEquivalence:
     def test_float64_matches_tape(self, table, name):
         config = CONFIGS[name]
         model = DuetModel(table, config)
-        estimator = DuetEstimator(model)
+        estimator = DuetEstimator(model).compile(PlanOptions(dtype="float64"))
         queries = _workload(table, config).queries
         tape, _ = estimator.estimate_batch_with_breakdown(queries, compiled=False)
         compiled, _ = estimator.estimate_batch_with_breakdown(queries, compiled=True)
@@ -92,7 +93,7 @@ class TestCompiledEquivalence:
         columns included; the result equals ``encode_batch`` exactly."""
         config = CONFIGS[name]
         model = DuetModel(table, config)
-        compiled = CompiledDuetModel(model)
+        compiled = CompiledDuetModel(model, PlanOptions(dtype="float64"))
         assert compiled._fast_encode
         if name == "embedding":
             assert model._embedding_columns
@@ -191,7 +192,8 @@ class TestServingCompiledRunner:
         estimator = DuetEstimator(model)
         queries = _workload(table, CONFIGS["plain"], num_queries=30).queries
         tape = estimator.estimate_batch(queries)
-        with EstimationService(estimator, ServingConfig(cache_capacity=0)) as service:
+        config = ServingConfig(cache_capacity=0, inference_dtype="float64")
+        with EstimationService(estimator, config) as service:
             served = service.estimate_batch(queries)
         assert not estimator.compiled  # the estimator object is untouched
         np.testing.assert_allclose(served, tape, rtol=1e-9, atol=1e-9)
@@ -221,17 +223,24 @@ class TestServingCompiledRunner:
 
     def test_swap_never_reuses_a_plan_of_the_outgoing_model(self, table):
         """A plan cached by an explicit ``compiled=True`` call holds the old
-        weights: after a swap the service must lower the incoming model."""
+        weights: after a swap the service must lower the incoming model.
+
+        The cached plan and the service both use the default options, so the
+        stale plan matches on options and only its model tells it apart; the
+        reference is the incoming model's own default plan on the same batch.
+        """
         estimator = DuetEstimator(DuetModel(table, CONFIGS["plain"]))
         queries = _workload(table, CONFIGS["plain"], num_queries=10).queries
         estimator.estimate_batch_with_breakdown(queries, compiled=True)
+        assert estimator._compiled.options == PlanOptions()
         incoming = DuetModel(table, DuetConfig(hidden_sizes=(48, 48), seed=1))
         config = ServingConfig(cache_capacity=0, micro_batching=False)
         with EstimationService(estimator, config) as service:
             service.swap_model(incoming)
             served = service.estimate_batch(queries)
         np.testing.assert_allclose(
-            served, DuetEstimator(incoming).estimate_batch(queries), rtol=1e-9)
+            served, CompiledDuetModel(incoming).estimate_with_breakdown(queries)[0],
+            rtol=1e-9)
 
     def test_service_defers_to_persisted_compile_options(self, tmp_path, table):
         """Default ServingConfig serves a registry-loaded estimator through
@@ -253,6 +262,74 @@ class TestServingCompiledRunner:
     def test_invalid_inference_dtype_rejected(self):
         with pytest.raises(ValueError):
             ServingConfig(inference_dtype="float16")
+
+
+class TestServedDtype:
+    """float32 is the served default; float64 stays on explicit request."""
+
+    def test_defaults_serve_float32(self, tmp_path, table):
+        model = DuetModel(table, CONFIGS["plain"])
+        assert PlanOptions().numpy_dtype is np.float32
+        assert DuetEstimator(model).compile()._compiled.dtype is np.float32
+        with EstimationService(DuetEstimator(model), ServingConfig()) as service:
+            assert service._plan.dtype is np.float32
+        registry = ModelRegistry(tmp_path)
+        registry.save(model, dataset="census", compile_options=PlanOptions())
+        assert registry.compile_options("census") == PlanOptions(dtype="float32")
+        with EstimationService.from_registry(registry, "census") as service:
+            assert service._plan.dtype is np.float32
+
+    def test_float64_archive_keeps_serving_float64(self, tmp_path, table):
+        model = DuetModel(table, CONFIGS["plain"])
+        registry = ModelRegistry(tmp_path)
+        registry.save(model, dataset="census",
+                      compile_options=PlanOptions(dtype="float64"))
+        queries = _workload(table, CONFIGS["plain"], num_queries=30).queries
+        config = ServingConfig(cache_capacity=0)
+        with EstimationService.from_registry(registry, "census", config=config) as service:
+            assert service._plan.dtype is np.float64
+            served = service.estimate_batch(queries)
+        np.testing.assert_allclose(served, DuetEstimator(model).estimate_batch(queries),
+                                   rtol=1e-9, atol=1e-9)
+
+    def test_row_prefix_model_stays_within_the_oracle_bound_across_refresh(
+            self, tmp_path, monkeypatch):
+        """A DMV-shaped model whose served output stage reads row prefixes,
+        served with default options, agrees with the float64 tape within
+        perfbench's ``ORACLE_RTOL`` (1e-5) before and after a refresh."""
+        monkeypatch.setattr(nn.made, "MIN_SKIPPED_PER_BLOCK", 0)
+        store = ColumnStore.from_table(make_dmv(scale=0.0001, seed=0))
+        base = store.snapshot()
+        config = DuetConfig(hidden_sizes=(32, 64), batch_size=256, lambda_query=0.0,
+                            seed=0)
+        model = DuetModel(base, config)
+        assert model.made.output_row_limits() is not None
+        registry = ModelRegistry(tmp_path)
+        registry.save(model, base.name, compile_options=PlanOptions())
+        queries = make_random_workload(base, num_queries=200, seed=4,
+                                       label=False).queries
+
+        def assert_within_oracle(service):
+            assert service._plan.dtype is np.float32
+            assert service._plan.made_plan.stages[-1].row_limits is not None
+            served = service.estimate_batch(queries)
+            tape, _ = service.estimator.estimate_batch_with_breakdown(
+                queries, compiled=False)
+            assert (np.abs(served - tape) <= 1e-5 * np.abs(tape) + 1e-12).all()
+
+        config = ServingConfig(cache_capacity=0, refresh_epochs=1)
+        with EstimationService.from_registry(registry, base.name, store=store,
+                                             config=config) as service:
+            assert_within_oracle(service)
+            rng = np.random.default_rng(1)
+            store.append({name: base.column(name).distinct_values[
+                rng.integers(0, base.column(name).num_distinct, size=200)]
+                for name in base.column_names})
+            outgoing = service.estimator.model
+            entry = service.refresh()
+            assert entry is not None and service.staleness() == 0
+            assert service.estimator.model is not outgoing
+            assert_within_oracle(service)
 
 
 class TestBaselineCompilation:

@@ -14,7 +14,7 @@ from repro.core import (
 )
 from repro.core.mpsn import MLPMPSN, RecursiveMPSN, RNNMPSN
 from repro.data import Table
-from repro.nn import Tensor
+from repro.nn import PlanOptions, Tensor
 from repro.workload import (
     Query,
     Workload,
@@ -184,7 +184,7 @@ class TestMPSN:
         rng = np.random.default_rng(3)
         widths = [7, 9, 5]
         mpsns = [build_mpsn(width, width, config, rng=rng) for width in widths]
-        merged = MergedMLPInference(mpsns)
+        merged = MergedMLPInference(mpsns, PlanOptions(dtype="float64"))
         batch, slots = 8, 2
         encodings = [rng.normal(size=(batch, slots, width)) for width in widths]
         presence = [np.ones((batch, slots)) for _ in widths]

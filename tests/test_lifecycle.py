@@ -67,7 +67,7 @@ class TestEndToEndLifecycle:
 
         service = EstimationService.from_registry(
             registry, "lifecycle", store=store,
-            config=ServingConfig(max_wait_ms=0.5))
+            config=ServingConfig(max_wait_ms=0.5, inference_dtype="float64"))
         with service:
             probe = workload.queries[0]
             stale_estimate = service.estimate(probe)

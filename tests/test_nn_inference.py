@@ -9,7 +9,7 @@ from repro.core import DuetConfig
 from repro.core.encoding import QueryCodec
 from repro.data import make_census
 from repro.nn import ForwardPlan, PlanOptions, StageSpec, Tensor, lower_module
-from repro.nn.inference import masked_block_mass, stable_sigmoid, stable_softmax
+from repro.nn.inference import interval_block_mass, stable_sigmoid, stable_softmax
 from repro.workload import (
     Query,
     make_inworkload,
@@ -22,8 +22,11 @@ from repro.workload import (
 # PlanOptions
 # ----------------------------------------------------------------------
 class TestPlanOptions:
-    def test_default_is_float64(self):
-        assert PlanOptions().numpy_dtype is np.float64
+    def test_default_is_float32(self):
+        assert PlanOptions().numpy_dtype is np.float32
+
+    def test_float64(self):
+        assert PlanOptions(dtype="float64").numpy_dtype is np.float64
 
     def test_float32(self):
         assert PlanOptions(dtype="float32").numpy_dtype is np.float32
@@ -130,7 +133,7 @@ class TestLowering:
         net = nn.Sequential(nn.Linear(5, 9, rng=rng), nn.ReLU(),
                             nn.Linear(9, 9, rng=rng), nn.Tanh(),
                             nn.Linear(9, 2, rng=rng), nn.Sigmoid())
-        plan = lower_module(net)
+        plan = lower_module(net, PlanOptions(dtype="float64"))
         x = rng.normal(size=(6, 5))
         with nn.no_grad():
             expected = net(Tensor(x)).numpy()
@@ -139,7 +142,7 @@ class TestLowering:
     def test_made_lowering_matches_tape(self):
         made = nn.MADE(input_bins=[3, 2, 4], output_bins=[4, 3, 5],
                        hidden_sizes=[16, 16], residual=True, seed=0)
-        plan = lower_module(made)
+        plan = lower_module(made, PlanOptions(dtype="float64"))
         x = np.random.default_rng(6).normal(size=(5, made.total_input))
         with nn.no_grad():
             expected = made(Tensor(x)).numpy()
@@ -158,7 +161,7 @@ class TestLowering:
         monkeypatch.setattr(nn.made, "MIN_SKIPPED_PER_BLOCK", 0)
         made = nn.MADE(input_bins=[3, 2, 4, 2, 5], output_bins=[4, 7, 5, 3, 6],
                        hidden_sizes=hidden_sizes, seed=2)
-        plan = lower_module(made)
+        plan = lower_module(made, PlanOptions(dtype="float64"))
         output = plan.stages[-1]
         assert output.row_limits == tuple(
             (rows, block.output_start, block.output_end)
@@ -197,45 +200,83 @@ class TestLowering:
 # Fused masked selectivity
 # ----------------------------------------------------------------------
 class TestMaskedBlockMass:
-    def _reference(self, logits, blocks, masks):
+    """Algorithm 3's zero-out on code intervals, against a dense
+    ``softmax · mask`` reference built from the same intervals."""
+
+    def _reference(self, logits, blocks, columns, low, high):
         result = np.ones(logits.shape[0])
-        for (start, end), mask in zip(blocks, masks):
-            if mask is None:
-                continue
+        for slot, column in enumerate(columns):
+            start, end = blocks[column]
             block = logits[:, start:end]
             dist = np.exp(block - block.max(axis=1, keepdims=True))
             dist /= dist.sum(axis=1, keepdims=True)
+            codes = np.arange(end - start)
+            mask = ((codes >= low[:, slot, None])
+                    & (codes <= high[:, slot, None])).astype(float)
             result *= (dist * mask).sum(axis=1)
         return result
 
+    def _random_intervals(self, rng, batch, ndvs):
+        low = np.stack([rng.integers(0, ndv + 1, size=batch) for ndv in ndvs], axis=1)
+        high = np.stack([rng.integers(-1, ndv, size=batch) for ndv in ndvs], axis=1)
+        return low, high
+
     def test_matches_dense_softmax_reference(self):
         rng = np.random.default_rng(8)
-        blocks = [(0, 4), (4, 9), (9, 12)]
-        logits = rng.normal(size=(6, 12)) * 5
-        masks = [
-            (rng.uniform(size=(6, 4)) > 0.4).astype(float),
-            None,
-            (rng.uniform(size=(6, 3)) > 0.4).astype(float),
-        ]
-        np.testing.assert_allclose(masked_block_mass(logits, blocks, masks),
-                                   self._reference(logits, blocks, masks),
-                                   rtol=1e-12)
+        blocks = [(0, 4), (4, 9), (9, 12), (12, 40)]
+        logits = rng.normal(size=(64, 40)) * 5
+        columns = np.array([0, 2, 3])
+        low, high = self._random_intervals(rng, 64, [4, 3, 28])
+        # Free (query, column) pairs span the whole domain.
+        low[:8], high[:8] = 0, np.array([3, 2, 27])
+        assert (low > high).any() and (low <= high).any()
+        np.testing.assert_allclose(
+            interval_block_mass(logits, blocks, columns, low, high),
+            self._reference(logits, blocks, columns, low, high), rtol=1e-12)
+
+    def test_interval_at_the_end_of_the_last_block(self):
+        """Bounds at the edges of the gathered matrix: an interval holding
+        the last code, and ``low == NDV`` (``> max``, empty) on the last
+        block of the last query."""
+        rng = np.random.default_rng(12)
+        blocks = [(0, 5), (5, 11)]
+        logits = rng.normal(size=(3, 11))
+        columns = np.array([0, 1])
+        low = np.array([[0, 5], [4, 6], [5, 6]])
+        high = np.array([[4, 5], [4, 5], [4, 5]])
+        out = interval_block_mass(logits, blocks, columns, low, high)
+        np.testing.assert_allclose(
+            out, self._reference(logits, blocks, columns, low, high), rtol=1e-12)
+        assert out[1] == 0.0 and out[2] == 0.0
 
     def test_all_unconstrained_is_exactly_one(self):
         logits = np.random.default_rng(9).normal(size=(3, 7))
-        out = masked_block_mass(logits, [(0, 3), (3, 7)], [None, None])
+        none = np.zeros((3, 0), dtype=np.int64)
+        out = interval_block_mass(logits, [(0, 3), (3, 7)], np.zeros(0, np.int64),
+                                  none, none)
         np.testing.assert_array_equal(out, np.ones(3))
 
     def test_extreme_logits_are_stable(self):
         logits = np.array([[1e4, -1e4, 5e3, 0.0]])
-        mask = np.array([[1.0, 0.0, 1.0, 0.0]])
-        out = masked_block_mass(logits, [(0, 4)], [mask])
+        out = interval_block_mass(logits, [(0, 4)], [0], np.array([[1]]),
+                                  np.array([[2]]))
         assert np.isfinite(out).all() and 0.0 <= out[0] <= 1.0
 
     def test_zero_mask_gives_zero_mass(self):
+        """Empty intervals (``low > high``) give an exact zero factor."""
         logits = np.random.default_rng(10).normal(size=(2, 5))
-        out = masked_block_mass(logits, [(0, 5)], [np.zeros((2, 5))])
+        out = interval_block_mass(logits, [(0, 5)], [0], np.array([[1], [3]]),
+                                  np.array([[0], [-1]]))
         np.testing.assert_array_equal(out, np.zeros(2))
+
+    def test_float32_logits_stay_float32(self):
+        rng = np.random.default_rng(14)
+        logits = rng.normal(size=(4, 9))
+        low, high = self._random_intervals(rng, 4, [9])
+        out = interval_block_mass(logits.astype(np.float32), [(0, 9)], [0], low, high)
+        assert out.dtype == np.float32
+        np.testing.assert_allclose(out, self._reference(logits, [(0, 9)], [0], low, high),
+                                   rtol=1e-5, atol=1e-7)
 
 
 # ----------------------------------------------------------------------
@@ -347,7 +388,8 @@ class TestTranslateBatch:
         return masks
 
     def _check(self, codec, queries):
-        values, ops, masks = codec.translate_batch(queries)
+        values, ops, intervals = codec.translate_batch(queries)
+        masks = intervals.dense_masks()
         ref_values, ref_ops = self._reference_arrays(codec, queries)
         ref_masks = self._reference_masks(codec, queries)
         np.testing.assert_array_equal(values, ref_values)
@@ -386,9 +428,10 @@ class TestTranslateBatch:
         column must keep the None sentinel (exact factor 1, no softmax)."""
         codec = QueryCodec(table, DuetConfig(hidden_sizes=(16,)))
         column = table.columns[0]
-        _, _, masks = codec.translate_batch(
+        _, _, intervals = codec.translate_batch(
             [Query.from_triples([(column.name, ">=", column.distinct_values[0])])])
-        assert all(mask is None for mask in masks)
+        assert intervals.columns.size == 0
+        assert all(mask is None for mask in intervals.dense_masks())
 
     def test_interval_cache_stays_correct_on_repeats(self, table):
         codec = QueryCodec(table, DuetConfig(hidden_sizes=(16,)))
@@ -404,7 +447,8 @@ class TestTranslateBatch:
             (column.name, "<=", column.distinct_values[4])])
         with pytest.raises(ValueError, match="at most 1"):
             codec.translate_batch([query])
-        _, _, masks = codec.translate_batch([query], enforce_slots=False)
+        _, _, intervals = codec.translate_batch([query], enforce_slots=False)
+        masks = intervals.dense_masks()
         np.testing.assert_array_equal(
             np.asarray(masks[0][0]),
             self._reference_masks(codec, [query])[0][0])

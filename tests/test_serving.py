@@ -260,7 +260,8 @@ class TestEstimationService:
     def test_concurrent_estimates_match_the_estimator(self, table, estimator):
         workload = make_random_workload(table, num_queries=64, seed=11)
         expected = estimator.estimate_batch(workload.queries)
-        with EstimationService(estimator, ServingConfig(max_wait_ms=1.0)) as service:
+        config = ServingConfig(max_wait_ms=1.0, inference_dtype="float64")
+        with EstimationService(estimator, config) as service:
             results = np.empty(len(workload))
 
             def client(indices):
@@ -376,7 +377,8 @@ class TestEstimationService:
         registry = ModelRegistry(tmp_path)
         registry.save(estimator.model, dataset="tiny")
         workload = make_random_workload(table, num_queries=25, seed=47)
-        with EstimationService.from_registry(registry, "tiny") as service:
+        config = ServingConfig(inference_dtype="float64")
+        with EstimationService.from_registry(registry, "tiny", config=config) as service:
             report = run_load_test(service, workload, concurrency=4,
                                    num_requests=100, seed=1)
             served = service.estimate_batch(workload.queries)
