@@ -11,8 +11,9 @@ implementation is recorded in the ``BENCH_training_step.json`` snapshot.
 
 The same holds for the whole lowered training step (``CompiledTrainStep``:
 sampling, forward, loss, backward, clip, Adam) on the DMV model, whose
-rows/s against the autograd tape is recorded in the
-``BENCH_training_step_duet.json`` snapshot.
+rows/s is recorded in the ``BENCH_training_step_duet.json`` snapshot
+against the autograd tape and against the same lowered step pinned to
+float64, so a move is attributed to the lowering or to the float32 GEMMs.
 """
 
 import time
@@ -25,6 +26,7 @@ from conftest import record_bench_snapshot
 from repro import nn
 from repro.core import DuetModel, DuetTrainer
 from repro.core.config import dmv_config
+from repro.core.train_step import CompiledTrainStep
 from repro.data import make_census, make_dmv
 
 STEPS = 30
@@ -145,14 +147,20 @@ def test_sgd_momentum_step_is_allocation_free():
     assert allocated < parameter_bytes / 4
 
 
-def _dmv_trainer(lowered):
-    """One-batch DMV trainer with negative replay, as a refresh runs it."""
+def _dmv_trainer(step="float32"):
+    """One-batch DMV trainer with negative replay, as a refresh runs it.
+
+    ``step`` is the trainer's default ``"float32"`` lowered step, the
+    lowered step pinned to ``"float64"``, or the autograd ``"tape"``.
+    """
     table = make_dmv(scale=0.0008)
     trainer = DuetTrainer(DuetModel(table, dmv_config(seed=0)), table, seed=0,
                           train_rows=np.arange(256),
                           negative_codes=table.code_matrix(np.arange(256)))
     trainer._negative_margin = 1e3  # keep the hinge active in every step
-    if not lowered:
+    if step == "float64":
+        trainer._lowered = CompiledTrainStep(trainer.model, dtype=np.float64)
+    elif step == "tape":
         trainer._lowered = None
     return trainer
 
@@ -169,11 +177,11 @@ def _rows_per_second(trainers):
 
 
 def test_lowered_duet_step_is_allocation_free_and_faster_than_the_tape():
-    trainer = _dmv_trainer(lowered=True)
+    trainer = _dmv_trainer()
     model = trainer.model
     parameter_bytes = sum(p.data.nbytes for p in model.parameters())
-    lowered_rows_per_s, tape_rows_per_s = _rows_per_second(
-        [trainer, _dmv_trainer(lowered=False)])
+    lowered_rows_per_s, lowered_f64_rows_per_s, tape_rows_per_s = _rows_per_second(
+        [trainer, _dmv_trainer("float64"), _dmv_trainer("tape")])
 
     tracemalloc.start()
     baseline = tracemalloc.get_traced_memory()[0]
@@ -188,7 +196,8 @@ def test_lowered_duet_step_is_allocation_free_and_faster_than_the_tape():
         f"(model holds {parameter_bytes})")
 
     print(f"\nDMV training step rows/s, best of 3 alternating: lowered "
-          f"{lowered_rows_per_s:.0f} vs tape {tape_rows_per_s:.0f} "
+          f"{lowered_rows_per_s:.0f} vs lowered float64 "
+          f"{lowered_f64_rows_per_s:.0f} vs tape {tape_rows_per_s:.0f} "
           f"({lowered_rows_per_s / tape_rows_per_s:.2f}x); peak step "
           f"allocation {peak / 1e6:.1f} MB over {parameter_bytes / 1e6:.1f} MB "
           f"of parameters")
@@ -196,6 +205,7 @@ def test_lowered_duet_step_is_allocation_free_and_faster_than_the_tape():
 
     record_bench_snapshot("training_step_duet", {
         "lowered_dmv_step_rows_per_s_qps": lowered_rows_per_s,
+        "lowered_f64_dmv_step_rows_per_s_qps": lowered_f64_rows_per_s,
         "tape_dmv_step_rows_per_s_qps": tape_rows_per_s,
         "lowered_dmv_step_peak_alloc_bytes": float(peak),
     })

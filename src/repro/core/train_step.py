@@ -37,10 +37,29 @@ written.  The step then sets
 in-place :class:`~repro.nn.Adam` run unchanged and a warmed-up step
 allocates nothing proportional to the parameter count.
 
-The tape stays the oracle: for every loss term the per-parameter float64
-gradients equal those of :meth:`DuetTrainer._data_loss` /
-``_negative_loss`` / ``_query_loss`` + ``backward()`` to ~1e-15 relative
-(``tests/test_train_step.py`` bounds it at 1e-10).
+**Mixed precision.**  The step computes in float32 over float64 master
+weights (Micikevicius et al., *Mixed Precision Training*, 2018): the
+input, activation and logit buffers, the masked-weight / weight-gradient
+buffers (so a layer weight's ``.grad`` is float32) and, under row
+prefixes, one float32 copy of the output weight, refreshed from the
+master by a single cast per step.  Hidden layers cast inside the
+``W ⊙ mask`` multiply they already do.  The parameters, the Adam moments,
+the bias and embedding gradients, the loss scalars and the query loss's
+masses and products stay float64, so ``clip_grad_norm``, ``Adam`` and the
+registry archives see the same float64 model as before.  On OpenBLAS
+(2 vCPUs) the DMV output layer's forward GEMM, 1,840 rows × 1024 × 5435,
+ran at 209 GFLOP/s in float32 and 115 in float64.  Against the float64
+tape the float32 gradients are within ~1e-6 × max|g| per parameter
+(2e-6 for the DMV output weight; ``tests/test_train_step.py`` bounds it at
+1e-5), and two epochs on a census model stay within 1e-8 relative in
+their losses.
+
+The tape stays the oracle.  ``CompiledTrainStep(model, dtype=np.float64)``
+runs the same code in float64 only for the tests: there, for every loss
+term, the per-parameter gradients equal those of
+:meth:`DuetTrainer._data_loss` / ``_negative_loss`` / ``_query_loss`` +
+``backward()`` to ~1e-15 relative (bound 1e-10), which proves the
+hand-written backward is the tape's algebra.
 """
 
 from __future__ import annotations
@@ -74,11 +93,15 @@ class CompiledTrainStep:
     ResMADE; binary, one-hot or embedding value features).  :meth:`run`
     writes the gradient of ``L_data + w·relu(margin − CE_neg) + λ·L_query``
     into each parameter's ``.grad``; the caller clips and steps.
+    ``dtype`` is the compute dtype: float32, or float64 for the tests'
+    exact comparison with the tape.
     """
 
-    def __init__(self, model: DuetModel) -> None:
+    def __init__(self, model: DuetModel, dtype=np.float32) -> None:
         if model.config.multi_predicate:
             raise ValueError("the lowered step covers models without MPSNs")
+        #: the compute dtype of every activation, logit and weight buffer
+        self._dtype = np.dtype(dtype)
         made = model.made
         self._hidden = list(made._layers)
         self._output = made.output_layer
@@ -116,9 +139,15 @@ class CompiledTrainStep:
         #: also holds W ⊙ mask between the forward and the backward; under
         #: row prefixes the output layer's is zeroed once, its masked-out
         #: region never written
-        self._weight_buffers = [np.empty_like(layer.weight.data)
+        self._weight_buffers = [np.empty_like(layer.weight.data, dtype=self._dtype)
                                 for layer in self._hidden]
-        self._weight_buffers.append(np.zeros_like(self._output.weight.data))
+        self._weight_buffers.append(
+            np.zeros_like(self._output.weight.data, dtype=self._dtype))
+        #: under row prefixes, the output weight in the compute dtype,
+        #: refreshed from the master weight by one cast per step
+        self._output_weight = (None if limits is None else
+                               np.empty_like(self._output.weight.data,
+                                             dtype=self._dtype))
         self._bias_grads = [np.empty_like(layer.bias.data) for layer in self._layers]
         self._embedding_grads = {
             column: np.empty_like(embedding.weight.data)
@@ -130,7 +159,7 @@ class CompiledTrainStep:
         """A ``(rows, width)`` view of a grow-only buffer reused across steps."""
         storage = self._storage.get(name)
         if storage is None or storage.shape[0] < rows:
-            storage = np.empty((rows, width))
+            storage = np.empty((rows, width), dtype=self._dtype)
             self._storage[name] = storage
         return storage[:rows]
 
@@ -198,9 +227,12 @@ class CompiledTrainStep:
                 out = summed
             activations.append(out)
         logits = self._buffer("logits", rows, self._output.out_features)
-        weight = self._output.weight.data
         if self._output_mask is not None:
-            weight = np.multiply(weight, self._output_mask, out=self._weight_buffers[-1])
+            weight = np.multiply(self._output.weight.data, self._output_mask,
+                                 out=self._weight_buffers[-1])
+        else:
+            weight = self._output_weight
+            np.copyto(weight, self._output.weight.data)
         for live, start, end in self._output_blocks:
             if live:
                 np.matmul(out[:, :live], weight[:live, start:end],
@@ -313,7 +345,7 @@ class CompiledTrainStep:
         weight_grad = self._weight_buffers[-1]
         # Dense: the buffer holds W ⊙ mask, read by dX before dW lands in
         # the staircase's one step.
-        weight = self._output.weight.data if self._output_mask is None else weight_grad
+        weight = self._output_weight if self._output_mask is None else weight_grad
         d_hidden = self._buffer(f"grad{len(self._hidden) - 1}",
                                 d_logits.shape[0], weight.shape[0])
         for low, high, start in self._staircase:

@@ -1,10 +1,12 @@
 """The lowered training step against its oracle, the autograd tape.
 
 ``CompiledTrainStep`` replaces the tape for every Duet model without MPSNs.
-On seeded batches its per-parameter float64 gradients must equal the tape's
-(``_data_loss`` / ``_negative_loss`` / ``_query_loss`` + ``backward()``)
-for every loss term, and whole training runs must follow the same
-trajectory.
+Pinned to float64, its per-parameter gradients on seeded batches must equal
+the tape's (``_data_loss`` / ``_negative_loss`` / ``_query_loss`` +
+``backward()``) for every loss term, and whole training runs must follow
+the same trajectory: that proves the hand-written backward is the tape's
+algebra.  The default float32 step is then held to the float64 tape within
+float32 rounding, and must leave float64 master weights behind.
 """
 
 import numpy as np
@@ -14,10 +16,13 @@ from repro import nn
 from repro.core import DuetConfig, DuetModel, DuetTrainer
 from repro.core.compiled import CompiledDuetModel
 from repro.core.train_step import CompiledTrainStep
-from repro.data import Table, make_census
+from repro.data import ColumnStore, Table, make_census
+from repro.serving import ModelRegistry
 from repro.workload import Query, Workload
 
 RTOL = 1e-10
+#: float32 compute against the float64 tape, per parameter, × max|g|
+F32_GRAD_TOL = 1e-5
 
 CONFIGS = {
     "made": dict(),
@@ -49,31 +54,33 @@ def workload(table):
 
 
 def _config(name, **overrides):
-    return DuetConfig(hidden_sizes=(32, 32), batch_size=48, expand_coefficient=2,
-                      query_batch_size=16, seed=0, **{**CONFIGS[name], **overrides})
+    defaults = dict(hidden_sizes=(32, 32), batch_size=48, expand_coefficient=2,
+                    query_batch_size=16, seed=0)
+    return DuetConfig(**{**defaults, **CONFIGS[name], **overrides})
 
 
-def _twins(table, config, **trainer_kwargs):
-    """Two identical trainers: one on the tape, one lowered."""
+def _twins(table, config, dtype=np.float64, **trainer_kwargs):
+    """Two identical trainers: one on the tape, one lowered in ``dtype``."""
     twins = []
     for lowered in (False, True):
         model = DuetModel(table, config)
         trainer = DuetTrainer(model, table, config=config, seed=7, **trainer_kwargs)
-        if not lowered:
-            trainer._lowered = None
+        trainer._lowered = (CompiledTrainStep(model, dtype=dtype) if lowered
+                            else None)
         twins.append(trainer)
     return twins
 
 
-def _assert_same_gradients(tape, lowered):
+def _assert_same_gradients(tape, lowered, rtol=RTOL, atol=RTOL):
+    """Per parameter: ``|lowered − tape| ≤ atol·max|tape| + rtol·|tape|``."""
     for (name, expected), actual in zip(tape.model.named_parameters(),
                                         lowered.model.parameters()):
         assert (expected.grad is None) == (actual.grad is None), name
         if expected.grad is None:
             continue
         scale = np.abs(expected.grad).max()
-        np.testing.assert_allclose(actual.grad, expected.grad, rtol=RTOL,
-                                   atol=RTOL * scale, err_msg=name)
+        np.testing.assert_allclose(actual.grad, expected.grad, rtol=rtol,
+                                   atol=atol * scale, err_msg=name)
 
 
 def _step_both(tape, lowered, codes):
@@ -83,7 +90,6 @@ def _step_both(tape, lowered, codes):
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_data_loss_gradients_match_the_tape(table, name):
     tape, lowered = _twins(table, _config(name))
-    assert lowered._lowered is not None
     if name == "embedding":
         assert lowered.model._embedding_columns
     codes = table.code_matrix(np.arange(48))
@@ -164,20 +170,96 @@ def test_clipped_gradients_match_the_tape(table, workload):
     _assert_same_gradients(tape, lowered)
 
 
-def test_training_trajectory_matches_the_tape(table, workload):
+def _assert_same_trajectory(table, workload, dtype, loss_rtol, rtol, atol):
+    """Two epochs of the tape and the lowered step from the same seeds."""
     config = _config("embedding", lambda_query=0.5, residual=True)
     negatives = table.code_matrix(np.arange(600, 700))
-    tape, lowered = _twins(table, config, training_workload=workload,
+    tape, lowered = _twins(table, config, dtype=dtype, training_workload=workload,
                            train_rows=np.arange(300), negative_codes=negatives)
     histories = [trainer.train(epochs=2) for trainer in (tape, lowered)]
     for expected, actual in zip(*(history.epochs for history in histories)):
-        assert actual.data_loss == pytest.approx(expected.data_loss, rel=1e-8)
-        assert actual.query_loss == pytest.approx(expected.query_loss, rel=1e-8)
-        assert actual.raw_qerror == pytest.approx(expected.raw_qerror, rel=1e-8)
+        assert actual.data_loss == pytest.approx(expected.data_loss, rel=loss_rtol)
+        assert actual.query_loss == pytest.approx(expected.query_loss, rel=loss_rtol)
+        assert actual.raw_qerror == pytest.approx(expected.raw_qerror, rel=loss_rtol)
     for (name, expected), actual in zip(tape.model.named_parameters(),
                                         lowered.model.parameters()):
-        np.testing.assert_allclose(actual.data, expected.data, rtol=1e-8,
-                                   atol=1e-8, err_msg=name)
+        np.testing.assert_allclose(actual.data, expected.data, rtol=rtol,
+                                   atol=atol, err_msg=name)
+
+
+def test_training_trajectory_matches_the_tape(table, workload):
+    _assert_same_trajectory(table, workload, np.float64,
+                            loss_rtol=1e-8, rtol=1e-8, atol=1e-8)
+
+
+# -- the default float32 step ---------------------------------------------
+@pytest.mark.parametrize("row_prefix", [False, True], ids=["masked", "row-prefix"])
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_float32_gradients_match_the_float64_tape(table, workload, name,
+                                                  row_prefix, monkeypatch):
+    """Data loss, an active hinge and the query loss over the whole workload
+    (so the unsatisfiable query's zero mass is in the batch), with the
+    output layer masked or read by row prefixes."""
+    if row_prefix:
+        monkeypatch.setattr(nn.made, "MIN_SKIPPED_PER_BLOCK", 0)
+    config = _config(name, lambda_query=0.5,
+                     query_batch_size=len(workload.queries))
+    tape, lowered = _twins(table, config, dtype=np.float32,
+                           training_workload=workload,
+                           negative_codes=table.code_matrix(np.arange(500, 530)))
+    assert (lowered._lowered._output_mask is None) == row_prefix
+    for trainer in (tape, lowered):
+        trainer._negative_margin = 1e3
+    codes = table.code_matrix(np.arange(48))
+    for _ in range(2):  # the second step re-casts the updated weights
+        expected, actual = _step_both(tape, lowered, codes)
+        assert lowered.model.made.output_layer.weight.grad.dtype == np.float32
+        _assert_same_gradients(tape, lowered, rtol=0, atol=F32_GRAD_TOL)
+        tape.optimizer.step()
+        lowered.optimizer.step()
+    assert actual.data_loss == pytest.approx(expected.data_loss, rel=1e-6)
+    assert actual.query_loss == pytest.approx(expected.query_loss, rel=1e-5)
+
+
+def test_float32_trajectory_stays_near_the_float64_tape(table, workload):
+    _assert_same_trajectory(table, workload, np.float32,
+                            loss_rtol=1e-6, rtol=0, atol=1e-5)
+
+
+def _assert_float64_masters(trainer):
+    assert trainer._lowered._dtype == np.float32  # the trainer's default
+    for name, parameter in trainer.model.named_parameters():
+        assert parameter.data.dtype == np.float64, name
+        assert parameter.grad is None, name
+    optimizer = trainer.optimizer
+    for moment in (*optimizer._first_moment, *optimizer._second_moment):
+        assert moment.dtype == np.float64
+
+
+def test_train_and_fine_tune_keep_float64_masters_and_no_gradients(table, tmp_path):
+    config = _config("embedding", residual=True)
+    store = ColumnStore.from_table(table)
+    base = store.snapshot()
+    model = DuetModel(base, config)
+    trainer = DuetTrainer(model, base, config=config, train_rows=np.arange(200))
+    trainer.train(epochs=1)
+    _assert_float64_masters(trainer)
+
+    store.append({name: base.column(name).distinct_values[base.column(name).codes[:50]]
+                  for name in base.column_names})
+    store.delete(np.arange(20))
+    delta = store.delta(base)
+    assert delta.removed_rows  # the hinge's negative replay runs too
+    tuned, _ = DuetTrainer.fine_tune(store.snapshot(), model, delta, config=config)
+    _assert_float64_masters(tuned)
+
+    registry = ModelRegistry(tmp_path / "registry")
+    registry.save(model, dataset="census")
+    loaded = registry.load_model("census")
+    for (name, saved), restored in zip(model.named_parameters(),
+                                       loaded.parameters()):
+        assert restored.data.dtype == np.float64, name
+        np.testing.assert_array_equal(restored.data, saved.data, err_msg=name)
 
 
 def test_throttle_runs_once_per_step(table):
