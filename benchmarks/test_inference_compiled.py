@@ -12,28 +12,99 @@ replayed in serving-sized micro-batches through three execution paths:
   default).
 
 Asserted shape: the compiled float32 plan sustains >= 3x the tape path's
-batch-estimation throughput (the ISSUE's acceptance bar), float64 compiled
+batch-estimation throughput (the acceptance bar), float64 compiled
 is materially faster than the tape too, and both agree with the tape to
 within the documented tolerances (1e-6 relative for float64 — measured
-agreement is ~1e-15).  The run also records/compares the
-``BENCH_inference.json`` snapshot so later sessions can track the
-throughput trajectory.
+agreement is ~1e-15).
+
+The run also times the four stages of the served passes the perfbench
+workloads run — a census batch-1 pass and a DMV batch-2 pass, each on an
+untrained float32 plan of the workload's shape — in microseconds per call:
+``translate`` (queries into code arrays and intervals), ``encode`` (the
+MADE input), ``made`` (the forward pass) and ``mask`` (the interval
+zero-out).  Everything is recorded/compared in the ``BENCH_inference.json``
+snapshot so later changes can track the trajectory.
 """
+
+import gc
+import time
 
 import pytest
 
 from conftest import record_bench_snapshot
 
+from repro.core import CompiledDuetModel, DuetModel, dmv_config, small_table_config
+from repro.data import make_census, make_dmv
 from repro.eval import compiled_inference_cost
+from repro.workload import WorkloadConfig, WorkloadGenerator
 
 MICRO_BATCH = 8      # what the serving micro-batcher typically coalesces
 NUM_QUERIES = 1024
+#: (name, table, model config, batch size) of the served passes timed by stage
+SERVED_PASSES = (
+    ("census_b1", lambda: make_census(scale=0.5), small_table_config, 1),
+    ("dmv_b2", lambda: make_dmv(scale=0.0008), dmv_config, 2),
+)
+STAGE_CALLS = 300
+STAGE_REPEATS = 5
+
+
+def _best_us(function, calls) -> float:
+    """Best of ``STAGE_REPEATS`` sweeps over ``calls``, in µs per call."""
+    best = float("inf")
+    for _ in range(STAGE_REPEATS):
+        started = time.perf_counter()
+        for arguments in calls:
+            function(*arguments)
+        best = min(best, time.perf_counter() - started)
+    return 1e6 * best / len(calls)
+
+
+def served_pass_stages() -> dict[str, dict[str, float]]:
+    """Per-stage µs of each served pass in ``SERVED_PASSES``.
+
+    The stages run in isolation on pre-computed inputs: every batch is
+    translated, encoded and run once first, so the literal caches and the
+    plan buffers are warm, as they are on a live service.
+    """
+    stages = {}
+    for name, make_table, make_config, batch in SERVED_PASSES:
+        table = make_table()
+        plan = CompiledDuetModel(DuetModel(table, make_config()))
+        generator = WorkloadGenerator(table, WorkloadConfig(seed=1))
+        batches = [[generator.generate_query() for _ in range(batch)]
+                   for _ in range(STAGE_CALLS)]
+        translated = [plan.codec.translate_batch(queries) for queries in batches]
+        encoded = [plan.encode(values, ops).copy() for values, ops, _ in translated]
+        logits = [plan.logits(inputs).copy() for inputs in encoded]
+        gc_was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            stages[name] = {
+                "translate": _best_us(plan.codec.translate_batch,
+                                      [(queries,) for queries in batches]),
+                "encode": _best_us(plan.encode,
+                                   [(values, ops) for values, ops, _ in translated]),
+                "made": _best_us(plan.logits, [(inputs,) for inputs in encoded]),
+                "mask": _best_us(plan.selectivity_from_logits,
+                                 [(outputs, intervals) for outputs, (_, _, intervals)
+                                  in zip(logits, translated)]),
+            }
+        finally:
+            if gc_was_enabled:
+                gc.enable()
+    return stages
 
 
 @pytest.fixture(scope="module")
 def result():
     return compiled_inference_cost(dataset="dmv", batch_size=MICRO_BATCH,
                                    num_queries=NUM_QUERIES, repeats=3)
+
+
+@pytest.fixture(scope="module")
+def stages():
+    return served_pass_stages()
 
 
 def test_compiled_throughput_and_equivalence(result):
@@ -67,12 +138,23 @@ def test_compiled_throughput_and_equivalence(result):
     assert result.max_rel_error_float32 < 5e-4
 
 
-def test_bench_snapshot_trajectory(result):
+def test_served_pass_stages(stages):
+    print()
+    for name, costs in stages.items():
+        print(f"{name}: " + "  ".join(f"{stage} {us:.1f} us"
+                                      for stage, us in costs.items()))
+        assert all(us > 0 for us in costs.values())
+
+
+def test_bench_snapshot_trajectory(result, stages):
     """Record (first run) or compare (later runs) the throughput snapshot.
 
     The comparison is informational — wall-clock margins are machine
     dependent, so regressions are printed, not asserted; the CI job runs
     this non-blocking and surfaces the report in its log.
     """
-    regressions = record_bench_snapshot("inference", result.to_metrics())
+    metrics = result.to_metrics()
+    for name, costs in stages.items():
+        metrics.update({f"stage_{name}_{stage}_us": us for stage, us in costs.items()})
+    regressions = record_bench_snapshot("inference", metrics)
     assert isinstance(regressions, list)

@@ -8,15 +8,15 @@ into pure-array form:
   buffers; a large output stage reads each column block's live row prefix),
 * MLP MPSNs are merged into the block-diagonal accelerator (§IV-F), which is
   itself a plan sharing the same dtype,
-* a single-predicate model encodes by table gathers alone: operator
-  features and each column's value features (an embedding column's
-  snapshotted embedding matrix) are lookup tables, and
+* a single-predicate model encodes by one gather from a flat lookup table
+  of the operator features and each column's value features (an embedding
+  column's snapshotted embedding matrix), and
 * Algorithm 3's zero-out runs on code intervals, not masks: translation
   gives each (query, constrained column) an inclusive ``[low, high]`` code
   range (:class:`~repro.core.encoding.CodeIntervals`), and the fused
   :func:`~repro.nn.interval_block_mass` kernel sums each column's softmax
-  mass over it straight from the logits.  Unconstrained columns are skipped
-  entirely, and no dense ``batch × NDV`` mask is ever built.
+  mass over it straight from the logits.  Unconstrained columns contribute
+  no factor, and no dense ``batch × NDV`` mask is ever built.
 
 Weights, codec and row count are captured at compile time: training the
 model afterwards does not change a plan — call
@@ -80,7 +80,8 @@ class CompiledDuetModel:
         self.codec = model.codec
         self.num_rows = model.table.num_rows
         self.num_columns = model.num_columns
-        self.blocks = model.made.output_block_slices()
+        #: ``(columns, 2)`` logit slices, the zero-out kernel's layout
+        self.blocks = np.asarray(model.made.output_block_slices(), dtype=np.intp)
         self.made_plan: ForwardPlan = ForwardPlan(model.made.export_stage_specs(),
                                                   self.options)
         # Embedding tables as plain gather arrays (weights snapshotted).
@@ -120,38 +121,49 @@ class CompiledDuetModel:
         self.lock = threading.Lock()
 
     def _build_encode_tables(self, embeddings: dict[int, np.ndarray]) -> None:
-        """Precompute gather tables for the single-predicate encode path.
+        """Precompute the one-gather table of the single-predicate encode.
 
-        Operator features become one ``(NUM_OPERATORS + 1, width)`` lookup
-        (row 0 = wildcard, all zeros) and each column's value encoding
-        becomes a ``(NDV + 1, width)`` lookup whose last row is the wildcard
-        zeros, so encoding a batch is one table gather per feature group
-        instead of re-deriving presence bits and binary digits every call.
-        An embedding column's table is its snapshotted embedding matrix.
+        Every feature group is a lookup table whose row 0 is the wildcard
+        (all zeros) and whose row ``x + 1`` encodes code ``x``: the operator
+        features (one ``(NUM_OPERATORS + 1, 6)`` table shared by all
+        columns) and each column's value features (``(NDV + 1, width)``; an
+        embedding column's is its snapshotted embedding matrix).  The tables
+        are laid end to end in one flat array, and each input position ``j``
+        records which code it reads (``group``) and where its group's rows
+        start (``stride``, ``offset``), so that the flat index of its feature
+        is ``code[group[j]] * stride[j] + offset[j]``.  Encoding a batch is
+        then one index computation and one gather straight into the input
+        buffer, however many columns the table has.
         """
-        # Tables and buffer live in the plan dtype: the gathered encoding
-        # feeds the plan input directly, with no second full-batch cast
-        # (one-hot bits and presence flags are exact in float32).
-        self._op_table = np.zeros((NUM_OPERATORS + 1, OPERATOR_FEATURE_WIDTH),
-                                  dtype=self.dtype)
-        self._op_table[1:, 0] = 1.0
-        self._op_table[1:, 1:] = np.eye(NUM_OPERATORS)
-        self._value_tables: list[np.ndarray] = []
-        op_destinations: list[np.ndarray] = []
-        self._value_slices: list[tuple[int, int]] = []
-        offset = 0
+        num_columns = len(self.codec.encoders)
+        op_table = np.zeros((NUM_OPERATORS + 1, OPERATOR_FEATURE_WIDTH))
+        op_table[1:, 0] = 1.0
+        op_table[1:, 1:] = np.eye(NUM_OPERATORS)
+        tables = [op_table.ravel()]
+        groups, strides, offsets = [], [], []
+        base = op_table.size
         for encoder in self.codec.encoders:
-            op_destinations.append(np.arange(offset, offset + OPERATOR_FEATURE_WIDTH))
-            value_start = offset + OPERATOR_FEATURE_WIDTH
-            self._value_slices.append((value_start, value_start + encoder.value_width))
             table = embeddings.get(encoder.column_index)
             if table is None:
                 table = encoder.encode_value_features(np.arange(encoder.num_distinct))
-            self._value_tables.append(np.vstack(
-                [table, np.zeros((1, encoder.value_width))]).astype(self.dtype))
-            offset += encoder.predicate_width
-        self._op_destinations = np.concatenate(op_destinations)
-        self._encode_buffer = np.empty((0, offset), dtype=self.dtype)
+            tables += [np.zeros(encoder.value_width),
+                       np.asarray(table, dtype=np.float64).ravel()]
+            # (code column in (ops, values), group width, group's first row)
+            for code_column, width, start in (
+                    (encoder.column_index, OPERATOR_FEATURE_WIDTH, 0),
+                    (num_columns + encoder.column_index, encoder.value_width, base)):
+                groups.append(np.full(width, code_column))
+                strides.append(np.full(width, width))
+                offsets.append(start + width + np.arange(width))
+            base += (encoder.num_distinct + 1) * encoder.value_width
+        # Table and buffer live in the plan dtype: the gathered encoding
+        # feeds the plan input directly, with no second full-batch cast
+        # (one-hot bits and presence flags are exact in float32).
+        self._encode_table = np.concatenate(tables).astype(self.dtype)
+        self._encode_group = np.concatenate(groups)
+        self._encode_stride = np.concatenate(strides)
+        self._encode_offset = np.concatenate(offsets)
+        self._encode_buffer = np.empty((0, self._encode_group.size), dtype=self.dtype)
 
     # ------------------------------------------------------------------
     @property
@@ -228,17 +240,11 @@ class CompiledDuetModel:
                 self._encode_buffer = np.empty((batch, self._encode_buffer.shape[1]),
                                                dtype=self.dtype)
             buffer = self._encode_buffer[:batch]
-            first_ops = ops[:, :, 0]
-            first_values = values[:, :, 0]
-            operator_features = self._op_table[first_ops + 1]
-            buffer[:, self._op_destinations] = operator_features.reshape(batch, -1)
-            for column_index, (table, (start, stop)) in enumerate(
-                    zip(self._value_tables, self._value_slices)):
-                codes = first_values[:, column_index]
-                wildcard_row = table.shape[0] - 1
-                buffer[:, start:stop] = table[
-                    np.where(codes >= 0, codes, wildcard_row)]
-            return buffer
+            codes = np.concatenate((ops[:, :, 0], values[:, :, 0]), axis=1)
+            index = codes[:, self._encode_group]
+            index *= self._encode_stride
+            index += self._encode_offset
+            return np.take(self._encode_table, index, out=buffer)
 
         per_column: list[np.ndarray] = []
         presences: list[np.ndarray] = []

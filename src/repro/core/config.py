@@ -146,10 +146,11 @@ class ServingConfig:
         latency of the first request in the batch.
     max_wait_ms:
         How long (milliseconds) the batcher waits for more requests after
-        the first one arrives before closing the batch.  ``0`` degenerates
-        to "drain whatever is already queued"; a couple of milliseconds is
-        enough for batches to form under concurrent load while keeping the
-        idle-service latency near the raw forward-pass cost.
+        the first one arrives before closing the batch; a batch of more
+        than one request closes early once it is as large as the previous
+        pass.  ``0`` degenerates to "drain whatever is already queued"; a
+        couple of milliseconds is enough for batches to form under
+        concurrent load.
     cache_capacity:
         Number of entries of the estimate LRU cache.  Keys are canonical
         (predicate-order and operator-alias insensitive), so permuted

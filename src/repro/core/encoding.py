@@ -37,6 +37,7 @@ __all__ = [
     "ColumnPredicateEncoder",
     "CanonicalPredicate",
     "CodeIntervals",
+    "IntervalWalk",
     "QueryCodec",
 ]
 
@@ -51,19 +52,8 @@ _OP_LE = Operator.LE.index
 
 #: operator -> stable index, as a dict (Operator.index is a linear scan)
 _OP_INDEX = {op: op.index for op in Operator}
-_KIND_EQ = Operator.EQ.index
-_KIND_GT = Operator.GT.index
-_KIND_LT = Operator.LT.index
-_KIND_GE = Operator.GE.index
-_KIND_LE = Operator.LE.index
-
-
-def _run_starts(sorted_values: np.ndarray) -> np.ndarray:
-    """Boolean array marking the first element of each run of equal values."""
-    starts = np.empty(sorted_values.size, dtype=bool)
-    starts[0] = True
-    np.not_equal(sorted_values[1:], sorted_values[:-1], out=starts[1:])
-    return starts
+#: bound on each (column, operator) literal cache of a long-lived service
+_LITERAL_CACHE_LIMIT = 262144
 
 
 def binary_width(num_distinct: int) -> int:
@@ -137,6 +127,82 @@ class CodeIntervals:
         return masks
 
 
+def _canonical(low: int, high: int, last: int) -> tuple[int, int] | None:
+    """Canonical ``(operator index, code)`` of an interval on ``[0, last]``.
+
+    ``None`` when the interval covers the whole domain (the predicate does
+    not constrain the column).  An empty interval keeps an equality on the
+    nearest code, so the model still sees a constraint; the zero-out then
+    makes the factor 0.
+    """
+    if low > high:
+        return _OP_EQ, min(max(low, 0), last)
+    if low == 0 and high == last:
+        return None
+    if low == high:
+        return _OP_EQ, low
+    if low == 0:
+        return _OP_LE, high
+    # Two-sided intervals only arise from multiple predicates per column,
+    # each of which is canonicalised separately, so this branch is not
+    # reachable from a single predicate; guard anyway.
+    return _OP_GE, low
+
+
+class IntervalWalk:
+    """A cached scalar walk from a query's predicates to code intervals.
+
+    The one predicate translation of the serving path: the batch translate
+    (:meth:`QueryCodec.translate_batch`) and the estimate cache's key
+    (:class:`~repro.serving.QueryKeyEncoder`) both read it.  Each literal is
+    looked up in a per-(column, operator) cache holding the predicate's
+    inclusive code interval (exactly :meth:`Predicate.code_interval`) and
+    its canonical ``(operator, code)`` pair.  Serving traffic repeats
+    literals heavily, so a predicate usually costs one dict hit.  The cache
+    depends only on the columns' sorted distinct values, so it stays valid
+    for any table with identical domains (see :meth:`QueryCodec.rebind`).
+    """
+
+    def __init__(self, table: Table) -> None:
+        self.table = table
+        self._index = {name: index for index, name in enumerate(table.column_names)}
+        self._cache: list[list[dict]] = [[{} for _ in range(NUM_OPERATORS)]
+                                         for _ in table.columns]
+
+    def bounds(self, query: Query) -> list[tuple[int, int, int, int, int]]:
+        """``(column, low, high, op, code)`` of each predicate bounding its column.
+
+        In predicate order.  Whole-domain predicates constrain nothing and
+        are skipped; an empty interval keeps its raw bounds (``low > high``).
+        An unknown column raises the table's ``KeyError``.
+        """
+        index = self._index
+        cache = self._cache
+        entries = []
+        for predicate in query.predicates:
+            column = index.get(predicate.column)
+            if column is None:
+                self.table.column_index(predicate.column)  # raises KeyError
+            by_literal = cache[column][_OP_INDEX[predicate.operator]]
+            entry = by_literal.get(predicate.value)
+            if entry is None:
+                entry = self._fill(by_literal, column, predicate)
+            if entry:
+                entries.append(entry)
+        return entries
+
+    def _fill(self, by_literal: dict, column: int, predicate: Predicate) -> tuple:
+        """Translate one uncached literal; ``()`` marks a whole-domain one."""
+        data = self.table.column(column)
+        low, high = predicate.code_interval(data)
+        canonical = _canonical(low, high, data.num_distinct - 1)
+        entry = () if canonical is None else (column, low, high, *canonical)
+        if len(by_literal) >= _LITERAL_CACHE_LIMIT:  # bound a service's footprint
+            by_literal.clear()
+        by_literal[predicate.value] = entry
+        return entry
+
+
 class ColumnPredicateEncoder:
     """Encodes the predicates of one column into its fixed-width block."""
 
@@ -205,10 +271,7 @@ class QueryCodec:
         ]
         self._ndv = np.array([column.num_distinct for column in table.columns],
                              dtype=np.int64)
-        #: per-column literal -> (left, right) searchsorted cache; serving
-        #: traffic repeats literals heavily, and a dict hit is ~20x cheaper
-        #: than even a vectorised searchsorted share
-        self._interval_cache: list[dict] = [{} for _ in table.columns]
+        self._walk = IntervalWalk(table)
 
     # ------------------------------------------------------------------
     def ensure_compatible(self, table: Table) -> None:
@@ -245,12 +308,13 @@ class QueryCodec:
 
         This is the *re-encode* path for data change without domain growth:
         predicate translation only depends on the sorted distinct values, so
-        after the compatibility check the swap is free (the literal interval
+        after the compatibility check the swap is free (the walk's literal
         cache stays valid for the same reason).  Grown domains raise
         :class:`~repro.data.DomainGrowthError` instead.
         """
         self.ensure_compatible(table)
         self.table = table
+        self._walk.table = table
 
     # ------------------------------------------------------------------
     def canonicalize(self, predicate: Predicate) -> CanonicalPredicate | None:
@@ -262,23 +326,8 @@ class QueryCodec:
         """
         column = self.table.column(predicate.column)
         low, high = predicate.code_interval(column)
-        last = column.num_distinct - 1
-        if low > high:
-            # Unsatisfiable predicate: keep an equality on the nearest code so
-            # the model still sees a constraint; the mask makes the factor 0.
-            return CanonicalPredicate(_OP_EQ, int(np.clip(low, 0, last)))
-        if low == 0 and high == last:
-            return None
-        if low == high:
-            return CanonicalPredicate(_OP_EQ, low)
-        if low == 0:
-            return CanonicalPredicate(_OP_LE, high)
-        if high == last:
-            return CanonicalPredicate(_OP_GE, low)
-        # Two-sided intervals only arise from multiple predicates per column,
-        # each of which is canonicalised separately, so this branch is not
-        # reachable from a single predicate; guard anyway.
-        return CanonicalPredicate(_OP_GE, low)
+        canonical = _canonical(low, high, column.num_distinct - 1)
+        return None if canonical is None else CanonicalPredicate(*canonical)
 
     def canonical_predicates(self, query: Query) -> dict[int, list[CanonicalPredicate]]:
         """Canonical predicates of a query, grouped by column index."""
@@ -301,170 +350,88 @@ class QueryCodec:
     # ------------------------------------------------------------------
     def translate_batch(self, queries: list[Query], enforce_slots: bool = True
                         ) -> tuple[np.ndarray, np.ndarray, CodeIntervals]:
-        """One-pass batched translation: ``(values, ops, intervals)``.
+        """Batched translation: ``(values, ops, intervals)``.
 
-        The serving hot path: every predicate's code interval is computed
-        exactly once (per-column *vectorised* ``searchsorted`` over all
-        literals in the batch instead of two scalar calls per predicate) and
-        both the canonical code arrays and the per-(query, column)
-        :class:`CodeIntervals` are derived from the same intervals.
-        Semantics match :meth:`canonicalize` / :meth:`zero_out_masks`
-        element for element.
+        The serving miss path's one translation per pass.  Each query's
+        predicates come from the codec's cached :class:`IntervalWalk` (one
+        dict hit per repeated literal), and each bounding predicate fills
+        both its canonical ``(op, code)`` slot and its (query, column)
+        :class:`CodeIntervals` bound, where ANDed predicates intersect.
+        Semantics match :meth:`canonicalize` and
+        :meth:`Query.code_intervals` element for element, except that an
+        empty interval keeps its raw bounds (``low > high``).
 
         ``enforce_slots=False`` silently drops canonical predicates beyond
         the slot budget instead of raising — the intervals are always
         defined even for queries the code arrays cannot represent.
         """
-        batch = len(queries)
         num_columns = self.table.num_columns
-        shape = (batch, num_columns, self.max_predicates)
-        values = np.full(shape, -1, dtype=np.int64)
-        ops = np.full(shape, -1, dtype=np.int64)
-
-        # Flatten every predicate of the batch into parallel lists (queries
-        # outer, predicates inner — the order slot assignment relies on).
-        query_rows: list[int] = []
-        column_rows: list[int] = []
-        kinds: list[int] = []
-        literals: list = []
-        column_index_of = self.table.column_index
-        for query_index, query in enumerate(queries):
-            for predicate in query.predicates:
-                query_rows.append(query_index)
-                column_rows.append(column_index_of(predicate.column))
-                kinds.append(_OP_INDEX[predicate.operator])
-                literals.append(predicate.value)
-        if not query_rows:
-            none = np.zeros(0, dtype=np.int64)
-            return values, ops, self._intervals(batch, none, none, none, none)
-        qi = np.asarray(query_rows, dtype=np.int64)
-        ci = np.asarray(column_rows, dtype=np.int64)
-        kind = np.asarray(kinds, dtype=np.int64)
-        count = kind.size
-
-        # Literal -> [left, right) code positions, one vectorised
-        # searchsorted per constrained column (stable sort keeps each
-        # column's predicates in query order, qi ascending inside a group).
-        left = np.empty(count, dtype=np.int64)
-        right = np.empty(count, dtype=np.int64)
-        by_column = np.argsort(ci, kind="stable")
-        ci_sorted = ci[by_column]
-        group_starts = np.flatnonzero(_run_starts(ci_sorted))
-        group_ends = np.append(group_starts[1:], count)
-        for start, end in zip(group_starts, group_ends):
-            column_index = int(ci_sorted[start])
-            cache = self._interval_cache[column_index]
-            missing = []
-            for i in by_column[start:end]:
-                cached = cache.get(literals[i])
-                if cached is None:
-                    missing.append(i)
+        budget = self.max_predicates
+        batch = len(queries)
+        bounds = self._walk.bounds
+        # Flat positions into one (ops, values) array and what goes there.
+        positions: list[int] = []
+        entries: list[int] = []
+        values_at = batch * num_columns * budget
+        cells: list[tuple[int, int, int, int]] = []  # (query, column, low, high)
+        overflow: list[tuple[int, int, int]] = []  # (query, column, count)
+        for row, query in enumerate(queries):
+            narrowed: dict[int, list[int]] = {}
+            for column, low, high, op, code in bounds(query):
+                cell = narrowed.get(column)
+                if cell is None:
+                    narrowed[column] = [low, high, 1]
+                    used = 0
                 else:
-                    left[i], right[i] = cached
-            if not missing:
-                continue
-            column = self.table.column(column_index)
-            try:
-                chunk = np.asarray([literals[i] for i in missing])
-                left[missing] = np.searchsorted(column.distinct_values, chunk,
-                                                side="left")
-                right[missing] = np.searchsorted(column.distinct_values, chunk,
-                                                 side="right")
-            except (TypeError, ValueError):  # ragged / incomparable literals
-                for i in missing:
-                    left[i] = column.searchsorted(literals[i], side="left")
-                    right[i] = column.searchsorted(literals[i], side="right")
-            if len(cache) > 262144:  # bound a long-lived service's footprint
-                cache.clear()
-            for i in missing:
-                cache[literals[i]] = (left[i], right[i])
+                    used = cell[2]
+                    cell[2] = used + 1
+                    if low > cell[0]:
+                        cell[0] = low
+                    if high < cell[1]:
+                        cell[1] = high
+                    if used >= budget:
+                        continue
+                slot = (row * num_columns + column) * budget + used
+                positions += (slot, values_at + slot)
+                entries += (op, code)
+            for column, (low, high, count) in narrowed.items():
+                cells.append((row, column, low, high))
+                if count > budget:
+                    overflow.append((row, column, count))
+        if overflow and enforce_slots:
+            _, column, count = min(overflow, key=lambda at: (-at[2], at[0], at[1]))
+            raise ValueError(
+                f"query has {count} predicates on column "
+                f"{self.table.column(column).name!r} but the "
+                f"model was configured for at most {budget}; "
+                f"enable multi_predicate / raise max_predicates_per_column")
+        ops_values = np.full((2, batch, num_columns, budget), -1, dtype=np.int64)
+        np.put(ops_values, positions, entries)
+        return ops_values[1], ops_values[0], self._intervals(batch, cells)
 
-        # Inclusive code intervals — vectorised Predicate.code_interval over
-        # the whole batch at once.
-        last = self._ndv[ci] - 1
-        is_eq = kind == _KIND_EQ
-        low = np.zeros(count, dtype=np.int64)
-        high = last.copy()
-        np.copyto(low, left, where=is_eq | (kind == _KIND_GE))
-        np.copyto(low, right, where=kind == _KIND_GT)
-        np.copyto(high, right - 1, where=is_eq | (kind == _KIND_LE))
-        np.copyto(high, left - 1, where=kind == _KIND_LT)
-        eq_missing = is_eq & (left == right)  # equality on an absent value
-        low[eq_missing] = 1
-        high[eq_missing] = 0
-        #: predicates whose interval covers the whole domain constrain nothing
-        whole_domain = (low == 0) & (high == last)
+    def _intervals(self, batch: int,
+                   cells: list[tuple[int, int, int, int]]) -> CodeIntervals:
+        """Scatter the ``(query, column, low, high)`` bounds into intervals.
 
-        # Whole-domain predicates bound nothing: a column whose predicates
-        # all cover its domain stays unconstrained (exact factor 1).
-        bounding = ~whole_domain
-        intervals = self._intervals(batch, qi[bounding], ci[bounding],
-                                    low[bounding], high[bounding])
-
-        # Canonical (operator, code) pairs — vectorised `canonicalize`.
-        # Later assignments override earlier ones, so the priority order is
-        # the reverse of the scalar if-chain: GE default, then low == 0,
-        # low == high, whole-domain (dropped), unsatisfiable.
-        canonical_op = np.full(count, _OP_GE, dtype=np.int64)
-        canonical_code = low.copy()
-        is_low_zero = low == 0
-        np.copyto(canonical_op, _OP_LE, where=is_low_zero)
-        np.copyto(canonical_code, high, where=is_low_zero)
-        is_point = low == high
-        np.copyto(canonical_op, _OP_EQ, where=is_point)
-        np.copyto(canonical_code, low, where=is_point)
-        np.copyto(canonical_op, -1, where=whole_domain)
-        unsat = low > high
-        np.copyto(canonical_op, _OP_EQ, where=unsat)
-        np.copyto(canonical_code, np.clip(low, 0, last), where=unsat)
-
-        # Slot assignment: occurrence index within each (query, column) pair
-        # among kept predicates, in predicate order (stable sort preserves it).
-        kept = np.flatnonzero(canonical_op >= 0)
-        if not kept.size:
-            return values, ops, intervals
-        order = kept[np.argsort(qi[kept] * num_columns + ci[kept], kind="stable")]
-        rows, cols = qi[order], ci[order]
-        same = ~_run_starts(rows * num_columns + cols)
-        positions = np.arange(order.size)
-        group_first = positions[~same]
-        group_sizes = np.diff(np.append(group_first, order.size))
-        slots = positions - np.repeat(group_first, group_sizes)
-        if slots.max(initial=0) >= self.max_predicates:
-            if enforce_slots:
-                overflow = int(np.argmax(slots))
-                raise ValueError(
-                    f"query has {int(group_sizes.max())} predicates on column "
-                    f"{self.table.column(int(cols[overflow])).name!r} but the "
-                    f"model was configured for at most {self.max_predicates}; "
-                    f"enable multi_predicate / raise max_predicates_per_column")
-            within = slots < self.max_predicates
-            order, rows, cols, slots = (order[within], rows[within],
-                                        cols[within], slots[within])
-        values[rows, cols, slots] = canonical_code[order]
-        ops[rows, cols, slots] = canonical_op[order]
-        return values, ops, intervals
-
-    def _intervals(self, batch: int, qi: np.ndarray, ci: np.ndarray,
-                   low: np.ndarray, high: np.ndarray) -> CodeIntervals:
-        """Intersect the bounding predicates' intervals per (query, column).
-
-        Every predicate must bound its column (no whole-domain ones): the
-        columns it names are the batch's constrained columns.  Each starts
-        at the full domain; ANDed predicates narrow it with
-        ``np.maximum.at`` / ``np.minimum.at``.
+        The columns the cells name are the batch's constrained columns; a
+        query leaving one of them free keeps its full domain.
         """
-        constrained = np.zeros(self._ndv.size, dtype=bool)
-        constrained[ci] = True
-        columns = np.flatnonzero(constrained)
-        bounds_low = np.zeros((batch, columns.size), dtype=np.int64)
-        bounds_high = np.empty((batch, columns.size), dtype=np.int64)
-        bounds_high[:] = self._ndv[columns] - 1
-        if ci.size:
-            at = (qi, (np.cumsum(constrained) - 1)[ci])
-            np.maximum.at(bounds_low, at, low)
-            np.minimum.at(bounds_high, at, high)
-        return CodeIntervals(columns, bounds_low, bounds_high, self._ndv)
+        columns = sorted({cell[1] for cell in cells})
+        position = {column: slot for slot, column in enumerate(columns)}
+        width = len(columns)
+        columns = np.array(columns, dtype=np.int64)
+        low_high = np.empty((2, batch, width), dtype=np.int64)
+        low_high[0] = 0
+        low_high[1] = self._ndv[columns] - 1
+        high_at = batch * width
+        positions: list[int] = []
+        bounds: list[int] = []
+        for row, column, low, high in cells:
+            flat = row * width + position[column]
+            positions += (flat, high_at + flat)
+            bounds += (low, high)
+        np.put(low_high, positions, bounds)
+        return CodeIntervals(columns, low_high[0], low_high[1], self._ndv)
 
     # ------------------------------------------------------------------
     def queries_to_code_arrays(self, queries: list[Query]

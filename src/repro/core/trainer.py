@@ -17,6 +17,7 @@ import numpy as np
 from .. import nn
 from ..nn import Tensor
 from ..nn import functional as F
+from ..nn.blas import all_threads
 from ..data.store import DomainGrowthError, TableDelta
 from ..data.table import Table
 from ..workload.workload import Workload
@@ -304,8 +305,9 @@ class DuetTrainer:
         each would hold one parameter-sized array per model version.
         """
         history = TrainingHistory()
-        for epoch in range(epochs if epochs is not None else self.config.epochs):
-            history.append(self.train_epoch(epoch, evaluation_fn=evaluation_fn))
+        with all_threads():
+            for epoch in range(epochs if epochs is not None else self.config.epochs):
+                history.append(self.train_epoch(epoch, evaluation_fn=evaluation_fn))
         self.model.zero_grad()
         return history
 

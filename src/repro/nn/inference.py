@@ -23,8 +23,8 @@ zero-out.  A query's predicates on one column select one code interval, so
 the kernel takes two integer bounds per (query, column) instead of a dense
 valid-value mask.  It computes each constrained column's probability mass
 inside its interval directly from the raw logits (stable ``exp``-shift, one
-interval sum against the full block sum) and skips unconstrained columns
-entirely: no dense softmax over every column, and no mask over the domain.
+interval sum against the full block sum); unconstrained columns get no
+factor, and no mask over the domain is built.
 
 Plans are deliberately *not* thread-safe: buffers are shared across calls.
 Wrap concurrent use in a lock (see :class:`repro.core.compiled.CompiledDuetModel`).
@@ -295,57 +295,57 @@ class ForwardPlan:
 # ----------------------------------------------------------------------
 
 def interval_block_mass(logits: np.ndarray,
-                        blocks: Sequence[tuple[int, int]],
+                        blocks: Sequence[tuple[int, int]] | np.ndarray,
                         columns: Sequence[int] | np.ndarray,
                         low: np.ndarray, high: np.ndarray) -> np.ndarray:
     """Product over constrained columns of the softmax mass in a code interval.
 
     ``logits`` is the raw ``(batch, total_output)`` network output;
-    ``blocks[i] = (start, end)`` is column ``i``'s logit slice.  ``columns``
-    lists the constrained columns, and ``low`` / ``high`` are their
-    ``(batch, len(columns))`` inclusive code bounds (``low > high`` is an
-    empty interval, factor 0).  Every other column is skipped: its factor is
-    exactly 1.
+    ``blocks[i] = (start, end)`` is column ``i``'s logit slice, and the
+    blocks tile ``[0, total_output)`` in order (pass them as a ``(C, 2)``
+    integer array, as a compiled plan does, to skip the per-call
+    conversion).  ``columns`` lists the constrained columns, ascending, and
+    ``low`` / ``high`` are their ``(batch, len(columns))`` inclusive code
+    bounds (``low > high`` is an empty interval, factor 0).  Every other
+    column's factor is exactly 1.
 
     For each constrained column the interval's probability mass is computed
     directly from the logits::
 
         mass = sum_{low <= v <= high} exp(l_v - m) / sum_v exp(l_v - m)
 
-    The constrained blocks are gathered into one contiguous matrix; the
-    per-block max and sum run as ``reduceat`` segments along its rows, and
-    all interval sums as one ``reduceat`` over its flat view, each interval
-    a ``[begin, end)`` pair of flat indices.  So the kernel costs a fixed
-    ~15 NumPy calls however many columns are constrained, and nothing is
-    computed for unconstrained columns.  Returns a fresh ``(batch,)`` array.
+    The per-block max and sum run as ``reduceat`` segments along the rows of
+    the whole output, and all interval sums as one ``reduceat`` over its
+    flat view, each interval a ``[begin, end)`` pair of flat indices.  So
+    the kernel costs a fixed ~15 NumPy calls and no per-column Python,
+    whatever the batch constrains: at serving batch sizes, exponentiating
+    the unconstrained blocks too costs less than gathering the constrained
+    ones.  Returns a fresh ``(batch,)`` array.
     """
     logits = np.asarray(logits)
     batch = logits.shape[0]
     if not len(columns):
         return np.ones(batch, dtype=logits.dtype)
-    spans = [blocks[column] for column in columns]
-    widths = np.array([end - start for start, end in spans])
-    segments = np.zeros(len(spans), dtype=np.intp)
-    np.cumsum(widths[:-1], out=segments[1:])
-    total = int(widths.sum())
-    # One trailing element past the gathered blocks: an interval that starts
-    # past its block's last code (``low == NDV``) still has a valid index.
+    blocks = np.asarray(blocks)
+    starts = blocks[:, 0]
+    total = int(blocks[-1, 1])
+    # One trailing element past the output: an interval that starts past
+    # the last block's last code (``low == NDV``) still has a valid index.
     flat = np.empty(batch * total + 1, dtype=logits.dtype)
     flat[-1] = 0.0
     shifted = flat[:-1].reshape(batch, total)
-    np.concatenate([logits[:, start:end] for start, end in spans], axis=1,
-                   out=shifted)
-    maxima = np.maximum.reduceat(shifted, segments, axis=1)
-    shifted -= np.repeat(maxima, widths, axis=1)
+    maxima = np.maximum.reduceat(logits[:, :total], starts, axis=1)
+    np.subtract(logits[:, :total], np.repeat(maxima, blocks[:, 1] - starts, axis=1),
+                out=shifted)
     np.exp(shifted, out=shifted)
-    denominator = np.add.reduceat(shifted, segments, axis=1)
+    denominator = np.add.reduceat(shifted, starts, axis=1)[:, columns]
     # Interleaved [begin, end) pairs: reduceat's even results are the
     # interval sums (an empty pair yields its first element; zeroed below).
     empty = low > high
-    begin = np.arange(0, batch * total, total)[:, None] + segments + low
-    bounds = np.empty((batch, len(spans), 2), dtype=np.intp)
-    bounds[..., 0] = begin
-    bounds[..., 1] = np.where(empty, begin, begin + (high - low + 1))
+    bounds = np.empty((batch, len(columns), 2), dtype=np.intp)
+    bounds[..., 0] = low
+    np.maximum(high + 1, low, out=bounds[..., 1])
+    bounds += (starts[columns] + np.arange(0, batch * total, total)[:, None])[..., None]
     numerator = np.add.reduceat(flat, bounds.reshape(-1))[::2].reshape(batch, -1)
     numerator[empty] = 0.0
     numerator /= denominator

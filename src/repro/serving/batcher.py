@@ -8,24 +8,28 @@ queued, a single scheduler thread drains the queue into batches (up to
 first request of a batch), runs one batched forward pass, and resolves each
 request's future.  Under load, batches form naturally while a pass is in
 flight; when idle, a request waits at most ``max_wait`` before running solo.
+A batch also closes as soon as it holds more than one request and as many
+as the previous pass: callers served together come back together, and
+once they are all here the rest of the window only adds latency.  While
+the scheduler runs, BLAS runs on one thread (:mod:`repro.nn.blas`): BLAS
+workers spinning between back-to-back passes would take the cores the
+callers need and make a pass's cost depend on scheduling.
 """
 
 from __future__ import annotations
 
-import queue
 import threading
 import time
+from collections import deque
 from concurrent.futures import Future
 from typing import Callable, Sequence
 
 import numpy as np
 
+from ..nn.blas import single_threaded
 from ..workload.query import Query
 
 __all__ = ["MicroBatcher"]
-
-#: sentinel enqueued by :meth:`MicroBatcher.close` to wake the scheduler
-_SHUTDOWN = object()
 
 
 class _Request:
@@ -59,10 +63,13 @@ class MicroBatcher:
         self._runner = runner
         self.max_batch_size = max_batch_size
         self.max_wait = max_wait_ms / 1e3
-        self._queue: "queue.Queue" = queue.Queue()
-        # Serialises submit() against close() so no request can be enqueued
-        # after the shutdown sentinel (it would never be resolved).
-        self._lifecycle = threading.Lock()
+        self._pending: deque[_Request] = deque()
+        # Guards _pending and _closed; the scheduler waits on it.  submit()
+        # wakes the scheduler only for the first request of a batch and for
+        # the one that makes the batch as large as the scheduler waits for,
+        # so a batch costs two wake-ups, not one per request.
+        self._ready = threading.Condition(threading.Lock())
+        self._wake_at = 1
         self._closed = False
         self._thread = threading.Thread(target=self._loop,
                                         name="repro-microbatcher", daemon=True)
@@ -80,10 +87,12 @@ class MicroBatcher:
         fails serving).
         """
         request = _Request(query, on_batch)
-        with self._lifecycle:
+        with self._ready:
             if self._closed:
                 raise RuntimeError("cannot submit to a closed MicroBatcher")
-            self._queue.put(request)
+            self._pending.append(request)
+            if len(self._pending) in (1, self._wake_at):
+                self._ready.notify()
         return request.future
 
     def estimate(self, query: Query) -> float:
@@ -93,11 +102,9 @@ class MicroBatcher:
     # ------------------------------------------------------------------
     def close(self) -> None:
         """Stop the scheduler after draining already-queued requests."""
-        with self._lifecycle:
-            if self._closed:
-                return
+        with self._ready:
             self._closed = True
-            self._queue.put(_SHUTDOWN)
+            self._ready.notify()
         self._thread.join()
 
     def __enter__(self) -> "MicroBatcher":
@@ -108,30 +115,29 @@ class MicroBatcher:
 
     # ------------------------------------------------------------------
     def _loop(self) -> None:
+        with single_threaded():
+            self._schedule()
+
+    def _schedule(self) -> None:
+        previous = 0  # size of the previous pass
         while True:
-            first = self._queue.get()
-            if first is _SHUTDOWN:
-                return
-            batch = [first]
-            deadline = time.perf_counter() + self.max_wait
-            shutdown = False
-            while len(batch) < self.max_batch_size:
-                remaining = deadline - time.perf_counter()
-                try:
-                    if remaining > 0:
-                        item = self._queue.get(timeout=remaining)
-                    else:
-                        # Past the deadline: take only what is already queued.
-                        item = self._queue.get_nowait()
-                except queue.Empty:
-                    break
-                if item is _SHUTDOWN:
-                    shutdown = True
-                    break
-                batch.append(item)
+            with self._ready:
+                while not self._pending and not self._closed:
+                    self._ready.wait()
+                if not self._pending:  # closed and drained
+                    return
+                deadline = time.perf_counter() + self.max_wait
+                # A lone request waits out the window for company.
+                self._wake_at = previous if previous > 1 else self.max_batch_size
+                while len(self._pending) < self._wake_at and not self._closed:
+                    remaining = deadline - time.perf_counter()
+                    if remaining <= 0:
+                        break
+                    self._ready.wait(remaining)
+                batch = [self._pending.popleft()
+                         for _ in range(min(len(self._pending), self.max_batch_size))]
+            previous = len(batch)
             self._run_batch(batch)
-            if shutdown:
-                return
 
     def _run_batch(self, batch: list[_Request]) -> None:
         queries = [request.query for request in batch]

@@ -13,9 +13,11 @@ integer-coded domain ``x > 3`` and ``x >= 4`` select the same interval).
 from __future__ import annotations
 
 import threading
+from array import array
 from collections import OrderedDict
 from typing import Hashable
 
+from ..core.encoding import IntervalWalk
 from ..data.table import Table
 from ..workload.query import Query
 
@@ -35,22 +37,35 @@ class QueryKeyEncoder:
     def __init__(self, table: Table, namespace: tuple | None = None) -> None:
         self.table = table
         self.namespace = namespace
+        self._walk = IntervalWalk(table)
 
-    def key(self, query: Query) -> tuple:
-        """Canonical key: sorted ``(column, low, high)`` code intervals.
+    def key(self, query: Query) -> Hashable:
+        """Canonical key: packed ``(column, low, high)`` code intervals.
 
-        Built on :meth:`Query.code_intervals` — the same interval semantics
-        the ground-truth executor uses — so two queries share a key exactly
-        when they select the same tuples (and, with a namespace attached,
-        are answered by the same model over the same data version).
+        Built on the cached :class:`~repro.core.encoding.IntervalWalk` that
+        also feeds the batch translate, with the interval semantics of
+        :meth:`Query.code_intervals` (the ground-truth executor's): ANDed
+        predicates on a column intersect, whole-domain ones drop out, and an
+        empty interval reads ``(1, 0)``.  The intervals are listed by column
+        and packed as fixed-width integers (all in ``[0, NDV]``), so two
+        queries share a key exactly when they select the same tuples (and,
+        with a namespace attached, are answered by the same model over the
+        same data version).
         """
-        intervals = tuple(sorted(
-            (column_index, low, high)
-            for column_index, (low, high) in query.code_intervals(self.table).items()
-        ))
+        narrowed: dict[int, tuple[int, int]] = {}
+        for column, low, high, _, _ in self._walk.bounds(query):
+            previous = narrowed.get(column)
+            if previous is not None:
+                low, high = max(previous[0], low), min(previous[1], high)
+            narrowed[column] = (low, high)
+        flat: list[int] = []
+        for column in sorted(narrowed):
+            low, high = narrowed[column]
+            flat += (column, low, high) if low <= high else (column, 1, 0)
+        packed = array("i", flat).tobytes()
         if self.namespace is None:
-            return intervals
-        return (self.namespace, intervals)
+            return packed
+        return (self.namespace, packed)
 
 
 class EstimateCache:

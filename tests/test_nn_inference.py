@@ -359,7 +359,7 @@ class TestInPlaceOptimizers:
 
 
 # ----------------------------------------------------------------------
-# One-pass vectorised translation
+# One-pass batch translation
 # ----------------------------------------------------------------------
 class TestTranslateBatch:
     @pytest.fixture(scope="class")

@@ -142,6 +142,43 @@ class TestMicroBatcher:
         assert len(observed_batches) < 40        # fewer passes than requests
         assert max(observed_batches) <= 16       # cap respected
 
+    def test_batch_closes_once_the_previous_passes_callers_are_back(self):
+        """Two closed-loop callers: only the first pass waits out the window;
+        later ones close as soon as both requests are queued."""
+        sizes = []
+
+        def runner(queries):
+            sizes.append(len(queries))
+            return [0.0] * len(queries), None
+
+        query = Query.from_triples([("age", "=", 1)])
+        barrier = threading.Barrier(2)
+
+        def client(batcher):
+            for _ in range(10):
+                barrier.wait()
+                batcher.estimate(query)
+
+        with MicroBatcher(runner, max_batch_size=16, max_wait_ms=300.0) as batcher:
+            threads = [threading.Thread(target=client, args=(batcher,))
+                       for _ in range(2)]
+            started = time.perf_counter()
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            elapsed = time.perf_counter() - started
+        assert sizes == [2] * 10
+        assert elapsed < 1.5  # a full window per pass would take >= 3 s
+
+    def test_lone_request_waits_the_window_for_company(self):
+        with MicroBatcher(lambda queries: ([0.0] * len(queries), None),
+                          max_batch_size=16, max_wait_ms=100.0) as batcher:
+            for _ in range(2):
+                started = time.perf_counter()
+                batcher.estimate(Query.from_triples([("age", "=", 1)]))
+                assert time.perf_counter() - started >= 0.09
+
     def test_runner_errors_propagate_to_futures(self):
         def runner(queries):
             raise RuntimeError("model exploded")
